@@ -28,7 +28,6 @@ from .gain_graph import (
     GainEdge,
     GainGraph,
     InvalidGainGraphError,
-    cone_contract,
     covering_window,
     gain_graph,
     gain_rank,
@@ -42,7 +41,6 @@ from .motion import (
     PathCertificate,
     build_flex_path,
     sample_path,
-    small_graph_global_check,
     verify_path,
 )
 from .rigidity import (

@@ -3,9 +3,8 @@
 Every command reads one JSON input document, prints a JSON verdict on stdout
 and exits 0 when the analysis ran (even when the verdict is negative), or 2
 on invalid input with diagnostics on stderr.  Identical invocations with the
-same seed produce byte-identical stdout.  The PERIGID_THREADS environment
-variable caps internal parallelism; the current implementation runs serially,
-which satisfies any cap.
+same seed produce byte-identical stdout.  Every ValueError raised by the
+library on bad input (documents, gain graphs, flag values) maps to exit 2.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 from .body_bar import (
@@ -23,21 +21,14 @@ from .body_bar import (
     decide_body_bar_global,
 )
 from .document import (
-    DocumentError,
-    body_bar_build_to_document,
     covering_to_dot,
     covering_to_json,
+    graph_to_document,
     parse_document,
     parse_lattice_matrix,
 )
 from .framework import Framework, Lattice
-from .gain_graph import (
-    BAR_JOINT,
-    BODY_BAR,
-    InvalidGainGraphError,
-    covering_window,
-    require_valid,
-)
+from .gain_graph import BAR_JOINT, BODY_BAR, covering_window, require_valid
 from .motion import build_flex_path, sample_path, verify_path
 from .rigidity import decide_global_rigidity, is_rigid, is_vertex_redundantly_rigid
 
@@ -47,17 +38,6 @@ EXIT_INVALID = 2
 
 class CliError(Exception):
     pass
-
-
-def thread_cap() -> int | None:
-    raw = os.environ.get("PERIGID_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        return None
-    return cap if cap >= 1 else None
 
 
 def _load_document(path: str):
@@ -71,7 +51,7 @@ def _load_document(path: str):
     try:
         doc = parse_document(raw)
         require_valid(doc.graph)
-    except (DocumentError, InvalidGainGraphError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
     return doc
 
@@ -83,10 +63,7 @@ def _resolve_lattice(doc, args) -> Lattice | None:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read lattice file: {exc}") from exc
-        try:
-            return parse_lattice_matrix(raw, doc.d, doc.k)
-        except DocumentError as exc:
-            raise CliError(str(exc)) from exc
+        return parse_lattice_matrix(raw, doc.d, doc.k)
     return doc.lattice
 
 
@@ -141,13 +118,9 @@ def cmd_bodybar(args) -> int:
     lattice = _resolve_lattice(doc, args)
     if args.action == "build":
         built = build_body_bar_gain_graph(doc.graph, doc.d)
-        _emit(body_bar_build_to_document(built, doc.d))
+        _emit(graph_to_document(built.graph, doc.d))
     elif args.action == "counts":
-        try:
-            report = count_rank(doc.graph, doc.d, doc.k, args.edge_cap)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-        _emit(report.to_json())
+        _emit(count_rank(doc.graph, doc.d, doc.k, args.edge_cap).to_json())
     else:  # global
         verdict = decide_body_bar_global(
             doc.graph, doc.d, doc.k, lattice, args.trials, args.seed
@@ -253,10 +226,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (DocumentError, InvalidGainGraphError) as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

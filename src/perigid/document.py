@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .body_bar import BodyBarGainGraph
 from .framework import Lattice, Placement
 from .gain_graph import (
     BAR_JOINT,
@@ -165,11 +164,6 @@ def graph_to_document(graph: GainGraph, d: int) -> dict:
             for e in graph.edges
         ],
     }
-
-
-def body_bar_build_to_document(built: BodyBarGainGraph, d: int) -> dict:
-    doc = graph_to_document(built.graph, d)
-    return doc
 
 
 def _cover_vertex_name(v: str, shift) -> str:

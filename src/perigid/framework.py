@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 from .gain_graph import BAR_JOINT, GainGraph, GainVector, require_valid
-from .linalg import RationalMatrix, integer_rank, rank
+from .linalg import RationalMatrix, rank
 
 Point = tuple[Fraction, ...]
 Placement = dict[str, Point]
@@ -163,11 +163,13 @@ def _random_point(rng: random.Random, d: int) -> Point:
 
 
 def random_lattice(rng: random.Random, d: int, k: int) -> Lattice:
+    if not (0 <= k <= d):
+        raise ValueError("need 0 <= k <= d")
     while True:
-        cols = tuple(_random_point(rng, d) for _ in range(k))
-        ints = [[c[i].numerator for c in cols] for i in range(d)]
-        if integer_rank(ints, k) == k:
-            return Lattice(d, k, cols)
+        try:
+            return Lattice(d, k, tuple(_random_point(rng, d) for _ in range(k)))
+        except ValueError:  # dependent columns: draw again
+            pass
 
 
 def random_generic_framework(
@@ -207,7 +209,7 @@ def generic_rank(
     if k is not None and k != graph.k:
         raise ValueError("declared k does not match graph")
     best = 0
-    cap = min(len(graph.edges), d * len(graph.vertices))
+    cap = min(len(graph.edges), max_generic_rank(len(graph.vertices), d, graph.k))
     for t in range(trials):
         fw = random_generic_framework(graph, d, lattice, _trial_seed(seed, t))
         best = max(best, rank(rigidity_matrix(fw)))
@@ -247,6 +249,14 @@ def are_congruent(framework: Framework, q: Placement) -> bool:
     return True
 
 
-def standard_target_rank(n_vertices: int, d: int, k: int) -> int:
-    """Generic rank of a rigid quotient framework: d|V| - d - C(d-k, 2)."""
-    return d * n_vertices - d - comb(d - k, 2)
+def max_generic_rank(n_vertices: int, d: int, k: int) -> int:
+    """Largest rigidity-matrix rank of any framework on n vertex orbits:
+    d|V| - d - C(d-k, 2) + C(max(d-k-|V|+1, 0), 2).
+
+    The kernel always holds the d translations and the C(d-k, 2) rotations
+    fixing span(L) pointwise; with |V| <= d-k orbits, C(d-k-|V|+1, 2) of those
+    rotations also fix every orbit and so are no motion at all.  A framework
+    is rigid exactly when its generic rank reaches this bound.
+    """
+    free = comb(max(d - k - n_vertices + 1, 0), 2)
+    return max(0, d * n_vertices - d - comb(d - k, 2) + free)

@@ -10,7 +10,7 @@ and equal-gain parallels allowed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 from .linalg import integer_rank
 
@@ -249,46 +249,6 @@ def gain_rank(graph: GainGraph, edge_ids=None) -> int:
     subgraph spanned by `edge_ids` (all edges when omitted)."""
     gens = cycle_space_generators(graph, edge_ids)
     return integer_rank(gens, graph.k)
-
-
-def cone_contract(graph: GainGraph, v: str) -> GainGraph:
-    """Remove v and insert u->w with gain psi(vw)-psi(vu) for every pair of
-    edges vu, vw at v with u != w, unless that covering edge already exists."""
-    if graph.mode != BAR_JOINT:
-        raise InvalidGainGraphError("cone contraction is defined for bar-joint graphs")
-    if v not in graph.vertices:
-        raise KeyError(f"unknown vertex {v!r}")
-    # orient every edge at v to leave v
-    at_v = []
-    for e in graph.edges:
-        if e.tail == v:
-            at_v.append(e)
-        elif e.head == v:
-            at_v.append(e.reversed())
-    rest = [e for e in graph.edges if e.tail != v and e.head != v]
-
-    def present(edges, tail, head, gain):
-        for e in edges:
-            if e.tail == tail and e.head == head and e.gain == gain:
-                return True
-            if e.tail == head and e.head == tail and e.gain == _vec_neg(gain):
-                return True
-        return False
-
-    new_edges = list(rest)
-    for e1, e2 in combinations(sorted(at_v, key=lambda e: e.id), 2):
-        u, w = e1.head, e2.head
-        if u == w:  # parallel pair, would create a loop
-            continue
-        gain = _vec_sub(e2.gain, e1.gain)
-        if not present(new_edges, u, w, gain):
-            new_edges.append(GainEdge(f"{e1.id}*{e2.id}", u, w, gain))
-    return GainGraph(
-        graph.k,
-        tuple(w for w in graph.vertices if w != v),
-        tuple(new_edges),
-        graph.mode,
-    )
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .framework import Framework, Lattice, Placement, check_placement
 from .gain_graph import GainGraph, GainVector, covering_window
-from .rigidity import RigidityVerdict, is_rigid
 
 CONSTANT = "constant"
 INCREASING = "increasing"
@@ -54,7 +53,6 @@ class PairWitness:
 @dataclass(frozen=True)
 class PathCertificate:
     endpoints_exact: bool
-    periodicity_exact: bool
     edge_witnesses: tuple[tuple[str, PairWitness], ...]  # (edge id, witness)
     pair_witnesses: tuple[PairWitness, ...]  # congruence-criterion pair set
     flexibility: bool
@@ -70,7 +68,6 @@ class PathCertificate:
     def to_json(self) -> dict:
         return {
             "endpoints_exact": self.endpoints_exact,
-            "periodicity_exact": self.periodicity_exact,
             "all_edges_preserved": self.all_edges_preserved,
             "all_pairs_constant": self.all_pairs_constant,
             "flexibility": self.flexibility,
@@ -118,7 +115,8 @@ def pair_witness(path: FlexPath, u: str, v: str, gamma: GainVector) -> PairWitne
 def verify_path(path: FlexPath, framework: Framework, q: Placement) -> PathCertificate:
     """Exact certificate that the path is the advertised motion.
 
-    Endpoints and lattice periodicity are rational identities; each edge is
+    Endpoints are rational identities (lattice periodicity needs no check:
+    the lift shifts every orbit by (L(gamma), 0^d) for all t); each edge is
     length-preserving iff its inner-product witness vanishes; the pair set of
     the finite congruence criterion (all vertex pairs at shift 0 and at each
     lattice generator) is classified as constant/increasing/decreasing.
@@ -133,10 +131,6 @@ def verify_path(path: FlexPath, framework: Framework, q: Placement) -> PathCerti
         == tuple(q[v])
         for v in framework.graph.vertices
     )
-    # the lift shifts every orbit by (L(gamma), 0^d) uniformly in t, by
-    # construction of the parametrisation; recorded structurally
-    periodicity = True
-
     edge_witnesses = tuple(
         (e.id, pair_witness(path, e.tail, e.head, e.gain)) for e in framework.graph.edges
     )
@@ -152,7 +146,7 @@ def verify_path(path: FlexPath, framework: Framework, q: Placement) -> PathCerti
         for g in gammas
     )
     flexibility = any(w.direction != CONSTANT for w in pairs)
-    return PathCertificate(endpoints, periodicity, edge_witnesses, pairs, flexibility)
+    return PathCertificate(endpoints, edge_witnesses, pairs, flexibility)
 
 
 def sample_path(path: FlexPath, samples: int, window: int = 1) -> list[dict]:
@@ -178,15 +172,3 @@ def sample_path(path: FlexPath, samples: int, window: int = 1) -> list[dict]:
             rows.append({"t": t, "vertex": v, "shift": shift, "coords": first + second})
     return rows
 
-
-def small_graph_global_check(
-    framework: Framework, trials: int = 3, seed: int = 0
-) -> RigidityVerdict:
-    """Rigidity verdict for a framework with at most d-k+1 vertex orbits; in
-    that regime rigidity and global rigidity coincide."""
-    d = framework.d
-    k = framework.lattice.k
-    n = len(framework.graph.vertices)
-    if n > d - k + 1:
-        raise ValueError(f"needs |V| <= d-k+1 = {d - k + 1}, got {n}")
-    return is_rigid(framework.graph, d, k, framework.lattice, trials, seed)

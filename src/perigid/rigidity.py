@@ -1,26 +1,18 @@
 """Rigidity, vertex-redundant rigidity and the global-rigidity decision.
 
-A quotient framework with |V| >= d+1 (or with full periodicity k = d) is
-generically rigid iff the rigidity matrix has rank d|V| - d - C(d-k, 2).
-Below that vertex count the standard count does not apply; rigidity is then
-decided by comparing the generic rank against the generic rank of the
-saturated complete gain graph on the same vertex set, enlarging the gain
-window until the rank stabilises.
+A quotient framework on n vertex orbits is generically rigid iff its generic
+rigidity-matrix rank reaches that of the complete gain graph on the same
+orbits, which has the closed form d*n - d - C(d-k, 2) + C(max(d-k-n+1, 0), 2)
+(`framework.max_generic_rank`); for n >= d-k the last term vanishes, leaving
+the standard count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
-from .framework import Lattice, generic_rank, standard_target_rank
-from .gain_graph import (
-    BAR_JOINT,
-    GainEdge,
-    GainGraph,
-    gain_rank,
-    require_valid,
-)
+from .framework import Lattice, generic_rank, max_generic_rank
+from .gain_graph import BAR_JOINT, GainGraph, gain_rank, require_valid
 
 STANDARD_COUNT = "standard-count"
 SATURATED_COMPARISON = "saturated-complete-comparison"
@@ -68,44 +60,6 @@ class GlobalVerdict:
         }
 
 
-def saturated_complete_graph(vertices, k: int, window: int) -> GainGraph:
-    """All edges u -> v (u < v) with every gain in {-window..window}^k.
-
-    Loops are omitted: a loop contributes no length constraint under a fixed
-    lattice, so it never changes a rank.
-    """
-    verts = tuple(sorted(vertices))
-    edges = []
-    idx = 0
-    for i, u in enumerate(verts):
-        for v in verts[i + 1 :]:
-            for g in product(range(-window, window + 1), repeat=k):
-                edges.append(GainEdge(f"s{idx}", u, v, tuple(g)))
-                idx += 1
-    return GainGraph(k, verts, tuple(edges), BAR_JOINT)
-
-
-def saturated_complete_rank(
-    vertices,
-    d: int,
-    k: int,
-    lattice: Lattice | None,
-    trials: int,
-    seed: int,
-    max_window: int = 8,
-) -> int:
-    """Generic rank of the complete gain graph on `vertices`, approximated by
-    growing the finite gain window until two consecutive radii agree."""
-    prev = None
-    for m in range(1, max_window + 1):
-        sat = saturated_complete_graph(vertices, k, m)
-        r = generic_rank(sat, d, k, lattice, trials, seed)
-        if prev is not None and r == prev:
-            return r
-        prev = r
-    raise RuntimeError("saturated complete rank did not stabilise")
-
-
 def is_rigid(
     graph: GainGraph,
     d: int,
@@ -125,12 +79,8 @@ def is_rigid(
         raise ValueError("need 0 <= k <= d")
     n = len(graph.vertices)
     achieved = generic_rank(graph, d, k, lattice, trials, seed)
-    if n >= d + 1 or k == d:
-        target = standard_target_rank(n, d, k)
-        method = STANDARD_COUNT
-    else:
-        target = saturated_complete_rank(graph.vertices, d, k, lattice, trials, seed)
-        method = SATURATED_COMPARISON
+    target = max_generic_rank(n, d, k)
+    method = STANDARD_COUNT if n >= d + 1 or k == d else SATURATED_COMPARISON
     return RigidityVerdict(achieved == target, achieved, target, method, trials, seed)
 
 
@@ -165,7 +115,7 @@ def is_vertex_redundantly_rigid(
 
 
 def _sub_seed(seed: int, index: int) -> int:
-    # stable per-subtask seeds so parallel evaluation stays deterministic
+    # a distinct, stable seed for each vertex deletion
     return seed * 7_368_787 + index + 1
 
 
@@ -181,9 +131,9 @@ def decide_global_rigidity(
 
     Cascade: not rigid -> NotGloballyRigid; gain rank below k (with at least
     two vertices) -> NotGloballyRigid; at most d-k+1 vertices -> GloballyRigid;
-    vertex-redundantly rigid with the rank-d side condition at k = d ->
-    GloballyRigid; otherwise Unknown (the sufficient condition is not
-    necessary).
+    vertex-redundantly rigid -> GloballyRigid (the gain-rank branch has
+    already ensured gain rank k, which is Theorem 2's rank-d condition at
+    k = d); otherwise Unknown (the sufficient condition is not necessary).
     """
     require_valid(graph)
     if k is None:
@@ -212,7 +162,7 @@ def decide_global_rigidity(
             seed,
         )
     vrr, details = is_vertex_redundantly_rigid(graph, d, k, lattice, trials, seed)
-    if vrr and (k < d or g_rank == d):
+    if vrr:
         return GlobalVerdict(
             GLOBALLY_RIGID,
             "thm-2-rigid-and-rank",

@@ -2,9 +2,10 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
-from perigid.framework import Framework, identity_lattice
-from perigid.gain_graph import BODY_BAR, GainEdge, GainGraph, gain_graph
+from perigid.framework import Framework, generic_rank, identity_lattice
+from perigid.gain_graph import BAR_JOINT, BODY_BAR, GainEdge, GainGraph, gain_graph
 
 
 def fig2_graph() -> GainGraph:
@@ -85,3 +86,33 @@ def random_body_bar_multigraph(rng: random.Random, d: int, k: int) -> GainGraph:
             g = tuple(rng.randint(-2, 2) for _ in range(k))
             edges.append(GainEdge(f"h{i}", u, v, g))
     return GainGraph(k, tuple(verts), tuple(edges), BODY_BAR)
+
+
+def saturated_complete_graph(vertices, k: int, window: int) -> GainGraph:
+    """All edges u -> v (u < v) with every gain in {-window..window}^k.
+
+    Loops are omitted: a loop contributes no length constraint under a fixed
+    lattice, so it never changes a rank.
+    """
+    verts = tuple(sorted(vertices))
+    edges = []
+    idx = 0
+    for i, u in enumerate(verts):
+        for v in verts[i + 1 :]:
+            for g in product(range(-window, window + 1), repeat=k):
+                edges.append(GainEdge(f"s{idx}", u, v, tuple(g)))
+                idx += 1
+    return GainGraph(k, verts, tuple(edges), BAR_JOINT)
+
+
+def saturated_complete_rank(vertices, d, k, lattice, trials, seed, max_window=8) -> int:
+    """Oracle for `max_generic_rank`: generic rank of the complete gain graph
+    on `vertices`, found by growing the gain window until two consecutive
+    radii agree."""
+    prev = None
+    for m in range(1, max_window + 1):
+        r = generic_rank(saturated_complete_graph(vertices, k, m), d, k, lattice, trials, seed)
+        if r == prev:
+            return r
+        prev = r
+    raise RuntimeError("saturated complete rank did not stabilise")

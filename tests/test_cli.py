@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from perigid.cli import EXIT_INVALID, EXIT_OK, main, thread_cap
+from perigid.cli import EXIT_INVALID, EXIT_OK, main
 from perigid.document import parse_document
 
 FIG2 = {
@@ -110,6 +110,28 @@ class TestInvalidInput:
     def test_bad_flag(self, tmp_path, capsys):
         code, _, _ = run(capsys, "rigid", write(tmp_path, FIG2), "--bogus")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("rigid", "FIG2", "--trials", "0"),
+            ("rigid", "FIG2", "--trials", "-1"),
+            ("vrr", "FIG2", "--trials", "0"),
+            ("global", "FIG2", "--trials", "0"),
+            ("bodybar", "global", "BODYBAR", "--trials", "0"),
+            ("covering", "FIG2", "--window", "-1"),
+            ("flexpath", "FIG2_WITH_PATH", "--samples", "1", "--out", "OUT"),
+        ],
+    )
+    def test_bad_flag_value(self, tmp_path, capsys, argv):
+        docs = {"FIG2": FIG2, "FIG2_WITH_PATH": FIG2_WITH_PATH, "BODYBAR": BODYBAR}
+        args = [
+            write(tmp_path, docs[a]) if a in docs else str(tmp_path / "f.csv") if a == "OUT" else a
+            for a in argv
+        ]
+        code, out, err = run(capsys, *args)
+        assert code == EXIT_INVALID and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestBodyBar:
@@ -220,18 +242,6 @@ class TestDeterminism:
         _, first, _ = run(capsys, *argv, path, "--seed", "5")
         _, second, _ = run(capsys, *argv, path, "--seed", "5")
         assert first == second
-
-
-class TestThreadCap:
-    def test_parses_env(self, monkeypatch):
-        monkeypatch.setenv("PERIGID_THREADS", "4")
-        assert thread_cap() == 4
-        monkeypatch.setenv("PERIGID_THREADS", "junk")
-        assert thread_cap() is None
-        monkeypatch.setenv("PERIGID_THREADS", "0")
-        assert thread_cap() is None
-        monkeypatch.delenv("PERIGID_THREADS")
-        assert thread_cap() is None
 
 
 class TestDocumentParsing:

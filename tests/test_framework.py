@@ -16,6 +16,7 @@ from perigid.framework import (
     identity_lattice,
     pinned_rigidity_matrix,
     random_generic_framework,
+    random_lattice,
     rigidity_matrix,
 )
 from perigid.gain_graph import gain_graph
@@ -166,6 +167,22 @@ class TestGenericSampling:
             fw = random_generic_framework(g, 2, seed=seed)
             # Lattice construction re-validates column rank
             assert fw.lattice.k == 2
+
+    def test_dependent_lattice_draw_is_redrawn(self):
+        class Draws:
+            def __init__(self, values):
+                self.values = iter(values)
+
+            def randint(self, lo, hi):
+                return next(self.values)
+
+        # columns (1,2), (2,4) are dependent; the next draw (1,2), (3,4) is kept
+        lat = random_lattice(Draws([1, 2, 2, 4, 1, 2, 3, 4]), 2, 2)
+        assert lat.columns == ((1, 2), (3, 4))
+
+    def test_k_above_d_rejected(self):
+        with pytest.raises(ValueError):
+            random_generic_framework(gain_graph(3, ["a"], []), 2)
 
 
 class TestGenericRank:

@@ -7,7 +7,6 @@ from perigid.gain_graph import (
     BODY_BAR,
     GainEdge,
     GainGraph,
-    cone_contract,
     covering_window,
     cycle_space_generators,
     gain_graph,
@@ -141,53 +140,6 @@ class TestGainRank:
         for _ in range(10):
             g = random_bar_joint_graph(rng, k=3, n=4, max_edges=5)
             assert gain_rank(g) <= min(3, len(g.edges))
-
-
-class TestConeContract:
-    def test_star_with_chord(self):
-        g = gain_graph(
-            2,
-            ["u", "v", "w"],
-            [("v", "u", (0, 0)), ("v", "w", (0, 0)), ("u", "w", (1, 0))],
-        )
-        out = cone_contract(g, "v")
-        assert set(out.vertices) == {"u", "w"}
-        gains = sorted((e.tail, e.head, e.gain) for e in out.edges)
-        assert gains == [("u", "w", (0, 0)), ("u", "w", (1, 0))]
-
-    def test_single_neighbour(self):
-        g = gain_graph(2, ["u", "v"], [("v", "u", (1, 0))])
-        out = cone_contract(g, "v")
-        assert out.vertices == ("u",)
-        assert out.edges == ()
-
-    def test_fig2_contract_a(self):
-        # both edges at a are parallel (same endpoint pair), so nothing is inserted
-        out = cone_contract(fig2_graph(), "a")
-        assert out.vertices == ("b",)
-        assert out.edges == ()
-
-    def test_duplicate_suppression_up_to_reversal(self):
-        g = gain_graph(
-            1,
-            ["u", "v", "w"],
-            [("v", "u", (0,)), ("v", "w", (2,)), ("w", "u", (-2,))],
-        )
-        out = cone_contract(g, "v")
-        # induced edge u->w gain (2,) equals existing w->u gain (-2,) reversed
-        assert len(out.edges) == 1
-
-    def test_gain_rank_preserved_on_two_connected(self):
-        rng = random.Random(9)
-        for _ in range(20):
-            g = random_bar_joint_graph(rng, k=2, n=4, max_edges=8)
-            # keep only instances where every vertex has degree >= 2 and the
-            # graph is connected enough for the invariant to make sense
-            degrees = {v: len(g.incident(v)) for v in g.vertices}
-            if len(g.edges) < 5 or min(degrees.values()) < 2:
-                continue
-            v = rng.choice(g.vertices)
-            assert gain_rank(cone_contract(g, v)) == gain_rank(g)
 
 
 class TestCoveringWindow:

@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from perigid.framework import Lattice, generic_rank, identity_lattice, max_generic_rank
 from perigid.gain_graph import gain_graph, reverse_edge, switch
 from perigid.rigidity import (
     GLOBALLY_RIGID,
@@ -12,9 +14,16 @@ from perigid.rigidity import (
     decide_global_rigidity,
     is_rigid,
     is_vertex_redundantly_rigid,
-    saturated_complete_graph,
 )
-from support import complete_graph, fig2_graph, four_cycle, triangle
+from support import (
+    complete_graph,
+    fig2_graph,
+    four_cycle,
+    random_bar_joint_graph,
+    saturated_complete_graph,
+    saturated_complete_rank,
+    triangle,
+)
 
 
 def fig2_plus():
@@ -46,6 +55,11 @@ class TestIsRigid:
         for d, k in [(2, 0), (2, 2), (3, 1)]:
             g = gain_graph(k, ["a"], [])
             assert is_rigid(g, d, k).rigid
+        # the empty vertex set is vacuously rigid, with target 0
+        for d in (1, 2, 3):
+            for k in range(d + 1):
+                v = is_rigid(gain_graph(k, [], []), d, k)
+                assert v.rigid and v.target_rank == 0
 
     def test_small_graph_edge_is_rigid(self):
         g = gain_graph(0, ["a", "b"], [("a", "b", ())])
@@ -96,6 +110,41 @@ class TestSaturatedComplete:
     def test_k0_is_complete_graph(self):
         sat = saturated_complete_graph(["a", "b", "c"], 0, 1)
         assert len(sat.edges) == 3
+
+
+def _rational_lattice(d: int, k: int) -> Lattice:
+    """A non-generic lattice: columns e_j + e_{j+1}/2 (e_j alone for the last)."""
+    cols = tuple(
+        tuple(Fraction(1) if i == j else Fraction(1, 2) if i == j + 1 else Fraction(0) for i in range(d))
+        for j in range(k)
+    )
+    return Lattice(d, k, cols)
+
+
+class TestMaxGenericRank:
+    def test_standard_count_when_large(self):
+        for d in (1, 2, 3):
+            for k in range(d + 1):
+                for n in range(d + 1, d + 5):
+                    assert max_generic_rank(n, d, k) == d * n - d - (d - k) * (d - k - 1) // 2
+
+    @pytest.mark.parametrize("make_lattice", [None, identity_lattice, _rational_lattice])
+    def test_matches_window_search_below_d_plus_1(self, make_lattice):
+        for d in (1, 2, 3):
+            for k in range(d):
+                lattice = make_lattice(d, k) if make_lattice else None
+                for n in range(1, d + 1):
+                    oracle = saturated_complete_rank([f"v{i}" for i in range(n)], d, k, lattice, 3, n)
+                    assert max_generic_rank(n, d, k) == oracle, (d, k, n)
+
+    def test_generic_rank_never_exceeds_bound(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            d = rng.randint(1, 3)
+            k = rng.randint(0, d)
+            n = rng.randint(1, 6)
+            g = random_bar_joint_graph(rng, k, n, rng.randint(0, 3 * n))
+            assert generic_rank(g, d, seed=rng.randint(0, 10**6)) <= max_generic_rank(n, d, k)
 
 
 class TestVertexRedundant:
