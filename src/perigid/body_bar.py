@@ -102,6 +102,8 @@ def is_bar_redundantly_rigid(
 ) -> tuple[bool, list[dict]]:
     """True iff removing any single bar (attachments retained) leaves a rigid
     body-bar gain graph.  Returns the verdict plus per-bar detail."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     _check_body_bar_input(multigraph)
     if k is None:
         k = multigraph.k

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 from .gain_graph import BAR_JOINT, GainGraph, GainVector, require_valid
-from .linalg import RationalMatrix, rank
+from .linalg import MOD_P, RationalMatrix, mod_rank, rank
 
 Point = tuple[Fraction, ...]
 Placement = dict[str, Point]
@@ -193,6 +193,20 @@ def _trial_seed(seed: int, trial: int) -> int:
     return seed * 1_000_003 + trial
 
 
+def _lattice_mod_p(lattice: Lattice) -> list[list[int]]:
+    """The lattice columns reduced mod p through denominator inverses."""
+    cols = []
+    for col in lattice.columns:
+        reduced = []
+        for x in col:
+            x = Fraction(x)
+            if x.denominator % MOD_P == 0:
+                raise ValueError(f"lattice entry {x} has a denominator divisible by 2^61-1")
+            reduced.append(x.numerator * pow(x.denominator, -1, MOD_P) % MOD_P)
+        cols.append(reduced)
+    return cols
+
+
 def generic_rank(
     graph: GainGraph,
     d: int,
@@ -201,18 +215,51 @@ def generic_rank(
     trials: int = 3,
     seed: int = 0,
 ) -> int:
-    """Rank of the rigidity matrix at the generic placement: the maximum of
-    exact ranks over seeded random frameworks (Schwartz-Zippel style; wrong
-    only with vanishing probability, and never over-reports)."""
+    """Rank of the rigidity matrix at a generic placement.
+
+    Each trial draws the placement, and the lattice columns when no
+    `lattice` is given, uniformly from GF(p) with p = 2^61 - 1, and takes the
+    rank of the rigidity matrix mod p (`linalg.mod_rank`); the result is the
+    best over the trials, stopping early at `max_generic_rank`.  A rank
+    mod p is at most the rank over Q at the same point, which is at most the
+    generic rank, so the result never over-reports; by Schwartz-Zippel one
+    trial falls short with probability at most rank/p.  A rational `lattice`
+    is reduced mod p once; a denominator divisible by p raises ValueError.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if k is not None and k != graph.k:
         raise ValueError("declared k does not match graph")
+    require_valid(graph)
+    if graph.mode != BAR_JOINT:
+        raise ValueError("frameworks are defined on bar-joint gain graphs")
+    k = graph.k
+    if not (0 <= k <= d):
+        raise ValueError("need 0 <= k <= d")
+    if lattice is not None and (lattice.d != d or lattice.k != k):
+        raise ValueError("lattice dimensions do not match")
+    fixed = None if lattice is None else _lattice_mod_p(lattice)
+    p = MOD_P
+    verts = graph.vertices
+    col_of = {v: i * d for i, v in enumerate(verts)}
+    ncols = d * len(verts)
+    cap = min(len(graph.edges), max_generic_rank(len(verts), d, k))
     best = 0
-    cap = min(len(graph.edges), max_generic_rank(len(graph.vertices), d, graph.k))
     for t in range(trials):
-        fw = random_generic_framework(graph, d, lattice, _trial_seed(seed, t))
-        best = max(best, rank(rigidity_matrix(fw)))
+        rng = random.Random(_trial_seed(seed, t))
+        cols = fixed if fixed is not None else [[rng.randrange(p) for _ in range(d)] for _ in range(k)]
+        point = {v: [rng.randrange(p) for _ in range(d)] for v in verts}
+        rows = []
+        for e in graph.edges:
+            row = [0] * ncols
+            a, b = point[e.tail], point[e.head]
+            ct, ch = col_of[e.tail], col_of[e.head]
+            for i in range(d):
+                x = (a[i] - b[i] - sum(g * col[i] for g, col in zip(e.gain, cols))) % p
+                row[ct + i] = x
+                row[ch + i] = p - x if x else 0
+            rows.append(row)
+        best = max(best, mod_rank(rows, ncols))
         if best == cap:
             break
     return best

@@ -25,15 +25,15 @@ class InvalidGainGraphError(ValueError):
 
 
 def _vec_add(a: GainVector, b: GainVector) -> GainVector:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple([x + y for x, y in zip(a, b)])
 
 
 def _vec_sub(a: GainVector, b: GainVector) -> GainVector:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple([x - y for x, y in zip(a, b)])
 
 
 def _vec_neg(a: GainVector) -> GainVector:
-    return tuple(-x for x in a)
+    return tuple([-x for x in a])
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,8 @@ class GainGraph:
             raise KeyError(f"unknown vertex {v!r}")
         return GainGraph(
             self.k,
-            tuple(w for w in self.vertices if w != v),
-            tuple(e for e in self.edges if e.tail != v and e.head != v),
+            tuple([w for w in self.vertices if w != v]),
+            tuple([e for e in self.edges if e.tail != v and e.head != v]),
             self.mode,
         )
 
@@ -99,7 +99,7 @@ class GainGraph:
         return GainGraph(
             self.k,
             self.vertices,
-            tuple(e for e in self.edges if e.id != edge_id),
+            tuple([e for e in self.edges if e.id != edge_id]),
             self.mode,
         )
 

@@ -1,7 +1,10 @@
-"""Exact rational matrix arithmetic.
+"""Exact matrix ranks: over the rationals and over GF(p), p = 2^61 - 1.
 
-Every rank reported anywhere in this package comes from the fraction-free
-elimination in this module; no verdict ever depends on floating point.
+Deterministic ranks (gain ranks, lattice independence, the exact public
+`rank`) come from fraction-free Bareiss elimination.  Generic ranks of
+rigidity matrices come from `mod_rank` on integer rows reduced mod p: for any
+integer matrix, rank mod p <= rank over Q, so a modular rank never
+over-reports.  No verdict ever depends on floating point.
 """
 
 from __future__ import annotations
@@ -10,13 +13,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-try:
-    from gmpy2 import mpz
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    def mpz(x):
-        return x
-
 Rational = Fraction
+
+MOD_P = 2**61 - 1  # a Mersenne prime: the field of the generic-rank samples
 
 
 class RationalMatrix:
@@ -67,7 +66,7 @@ def _bareiss_rank(rows: list[list], ncols: int) -> int:
     m = len(rows)
     if m == 0 or ncols == 0:
         return 0
-    prev = mpz(1)
+    prev = 1
     r0 = 0
     for pc in range(ncols):
         piv = -1
@@ -96,13 +95,52 @@ def _bareiss_rank(rows: list[list], ncols: int) -> int:
             break
     return r0
 
+
+def mod_rank(rows: list[list[int]], ncols: int) -> int:
+    """Rank over GF(MOD_P) of integer rows (mutates).
+
+    Entries must lie strictly between -MOD_P and MOD_P, so that an entry is
+    zero mod p exactly when it is 0; reduce larger ones first.  Same
+    elimination as `_bareiss_rank`, but a row below the pivot becomes
+    pval*row - f*pivot_row mod p: no division and no inverse, and a row with
+    a zero in the pivot column is left alone.
+    """
+    m = len(rows)
+    if m == 0 or ncols == 0:
+        return 0
+    p = MOD_P
+    r0 = 0
+    for pc in range(ncols):
+        piv = -1
+        for i in range(r0, m):
+            if rows[i][pc]:
+                piv = i
+                break
+        if piv < 0:
+            continue
+        rows[r0], rows[piv] = rows[piv], rows[r0]
+        prow = rows[r0]
+        pval = prow[pc]
+        for i in range(r0 + 1, m):
+            ri = rows[i]
+            f = ri[pc]
+            if f:
+                for j in range(pc + 1, ncols):
+                    ri[j] = (pval * ri[j] - f * prow[j]) % p
+                ri[pc] = 0
+        r0 += 1
+        if r0 == m:
+            break
+    return r0
+
+
 def rank(matrix: RationalMatrix) -> int:
     """Exact rank over the rationals."""
     scaled = []
     for i in range(matrix.rows):
         row = matrix.row(i)
         mult = lcm(*(x.denominator for x in row)) if row else 1
-        scaled.append([mpz(x.numerator * (mult // x.denominator)) for x in row])
+        scaled.append([x.numerator * (mult // x.denominator) for x in row])
     return _bareiss_rank(scaled, matrix.cols)
 
 
@@ -111,7 +149,7 @@ def integer_rank(rows: Iterable[Sequence[int]], ncols: int | None = None) -> int
 
     `ncols` is only needed to disambiguate an empty row list.
     """
-    data = [[mpz(x) for x in row] for row in rows]
+    data = [list(row) for row in rows]
     if ncols is None:
         ncols = len(data[0]) if data else 0
     if any(len(r) != ncols for r in data):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .framework import Lattice, generic_rank, max_generic_rank
-from .gain_graph import BAR_JOINT, GainGraph, gain_rank, require_valid
+from .gain_graph import GainGraph, gain_rank, require_valid
 
 STANDARD_COUNT = "standard-count"
 SATURATED_COMPARISON = "saturated-complete-comparison"
@@ -68,17 +68,10 @@ def is_rigid(
     trials: int = 3,
     seed: int = 0,
 ) -> RigidityVerdict:
-    require_valid(graph)
-    if graph.mode != BAR_JOINT:
-        raise ValueError("rigidity verdicts are defined for bar-joint graphs")
-    if k is None:
-        k = graph.k
-    if k != graph.k:
-        raise ValueError("declared k does not match graph")
-    if not (0 <= k <= d):
-        raise ValueError("need 0 <= k <= d")
-    n = len(graph.vertices)
+    # generic_rank validates the graph, its mode, k and the lattice
     achieved = generic_rank(graph, d, k, lattice, trials, seed)
+    k = graph.k
+    n = len(graph.vertices)
     target = max_generic_rank(n, d, k)
     method = STANDARD_COUNT if n >= d + 1 or k == d else SATURATED_COMPARISON
     return RigidityVerdict(achieved == target, achieved, target, method, trials, seed)
@@ -97,6 +90,8 @@ def is_vertex_redundantly_rigid(
     Deleting down to the empty vertex set counts as rigid.  Returns the
     verdict and a per-vertex detail list.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     require_valid(graph)
     if k is None:
         k = graph.k
@@ -135,7 +130,6 @@ def decide_global_rigidity(
     already ensured gain rank k, which is Theorem 2's rank-d condition at
     k = d); otherwise Unknown (the sufficient condition is not necessary).
     """
-    require_valid(graph)
     if k is None:
         k = graph.k
     n = len(graph.vertices)

@@ -4,8 +4,17 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from perigid.framework import Framework, generic_rank, identity_lattice
+from perigid.framework import (
+    Framework,
+    _trial_seed,
+    generic_rank,
+    identity_lattice,
+    max_generic_rank,
+    random_generic_framework,
+    rigidity_matrix,
+)
 from perigid.gain_graph import BAR_JOINT, BODY_BAR, GainEdge, GainGraph, gain_graph
+from perigid.linalg import rank
 
 
 def fig2_graph() -> GainGraph:
@@ -116,3 +125,17 @@ def saturated_complete_rank(vertices, d, k, lattice, trials, seed, max_window=8)
             return r
         prev = r
     raise RuntimeError("saturated complete rank did not stabilise")
+
+
+def bareiss_generic_rank(graph: GainGraph, d: int, lattice=None, trials: int = 3, seed: int = 0) -> int:
+    """Reference for `generic_rank`: the exact rank over Q (Fraction entries,
+    Bareiss elimination) of each seeded `random_generic_framework`, best over
+    the trials, stopping early at `max_generic_rank`."""
+    best = 0
+    cap = min(len(graph.edges), max_generic_rank(len(graph.vertices), d, graph.k))
+    for t in range(trials):
+        fw = random_generic_framework(graph, d, lattice, _trial_seed(seed, t))
+        best = max(best, rank(rigidity_matrix(fw)))
+        if best == cap:
+            break
+    return best

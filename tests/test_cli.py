@@ -24,6 +24,10 @@ FIG2_WITH_PATH = {
     "q": {"a": [0, 0], "b": ["2/5", "-3/7"]},
 }
 
+ONE_VERTEX = {"dim": 2, "periodicity": 0, "mode": "bar-joint", "vertices": ["a"], "edges": []}
+
+NO_BARS = {"dim": 2, "periodicity": 1, "mode": "body-bar", "vertices": ["b0"], "edges": []}
+
 BODYBAR = {
     "dim": 2,
     "periodicity": 2,
@@ -121,10 +125,18 @@ class TestInvalidInput:
             ("bodybar", "global", "BODYBAR", "--trials", "0"),
             ("covering", "FIG2", "--window", "-1"),
             ("flexpath", "FIG2_WITH_PATH", "--samples", "1", "--out", "OUT"),
+            ("vrr", "ONE_VERTEX", "--trials", "0"),
+            ("bodybar", "global", "NO_BARS", "--trials", "0"),
         ],
     )
     def test_bad_flag_value(self, tmp_path, capsys, argv):
-        docs = {"FIG2": FIG2, "FIG2_WITH_PATH": FIG2_WITH_PATH, "BODYBAR": BODYBAR}
+        docs = {
+            "FIG2": FIG2,
+            "FIG2_WITH_PATH": FIG2_WITH_PATH,
+            "BODYBAR": BODYBAR,
+            "ONE_VERTEX": ONE_VERTEX,
+            "NO_BARS": NO_BARS,
+        }
         args = [
             write(tmp_path, docs[a]) if a in docs else str(tmp_path / "f.csv") if a == "OUT" else a
             for a in argv
@@ -132,6 +144,11 @@ class TestInvalidInput:
         code, out, err = run(capsys, *args)
         assert code == EXIT_INVALID and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_lattice_denominator_divisible_by_p(self, tmp_path, capsys):
+        doc = {**FIG2, "lattice": [[f"1/{2**61 - 1}", 0], [0, 1]]}
+        code, out, err = run(capsys, "rigid", write(tmp_path, doc))
+        assert code == EXIT_INVALID and out == "" and "denominator" in err
 
 
 class TestBodyBar:

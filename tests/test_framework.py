@@ -20,8 +20,9 @@ from perigid.framework import (
     rigidity_matrix,
 )
 from perigid.gain_graph import gain_graph
-from perigid.linalg import rank
+from perigid.linalg import MOD_P, rank
 from support import (
+    bareiss_generic_rank,
     fig2_flip_placement,
     fig2_framework,
     fig2_graph,
@@ -205,6 +206,34 @@ class TestGenericRank:
             r = generic_rank(g, d, seed=rng.randint(0, 999))
             cap = d * len(g.vertices) - d - comb(d - k, 2)
             assert r <= min(len(g.edges), cap)
+
+    @pytest.mark.parametrize("d,k", [(d, k) for d in (2, 3) for k in range(d + 1)])
+    def test_matches_bareiss_reference(self, d, k):
+        rng = random.Random(100 * d + k)
+        while True:
+            cols = tuple(
+                tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(d))
+                for _ in range(k)
+            )
+            try:
+                rational = Lattice(d, k, cols)
+                break
+            except ValueError:
+                pass
+        for _ in range(4):
+            n = rng.randint(1, 6)
+            g = random_bar_joint_graph(rng, k, n, rng.randint(0, d * n))
+            for lattice in (None, identity_lattice(d, k), rational):
+                seed = rng.randint(0, 999)
+                assert generic_rank(g, d, lattice=lattice, seed=seed) == bareiss_generic_rank(
+                    g, d, lattice, seed=seed
+                ), (g, lattice)
+
+    def test_lattice_denominator_divisible_by_p_rejected(self):
+        g = gain_graph(1, ["a", "b"], [("a", "b", (0,)), ("a", "b", (1,))])
+        lattice = Lattice(2, 1, ((Fraction(1, MOD_P), Fraction(1)),))
+        with pytest.raises(ValueError, match="denominator"):
+            generic_rank(g, 2, lattice=lattice)
 
 
 class TestEquivalenceCongruence:

@@ -3,8 +3,12 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import GF, ZZ
+from sympy.polys.matrices import DomainMatrix
 
-from perigid.linalg import RationalMatrix, integer_rank, rank
+from perigid.linalg import MOD_P, RationalMatrix, integer_rank, mod_rank, rank
 
 
 def M(rows, cols=None):
@@ -22,6 +26,8 @@ def test_proportional_rows():
 def test_empty_matrices():
     assert rank(RationalMatrix(0, 5, [])) == 0
     assert rank(RationalMatrix(3, 0, [[], [], []])) == 0
+    assert mod_rank([], 3) == 0
+    assert mod_rank([[], []], 0) == 0
 
 
 def test_rational_entries():
@@ -82,3 +88,63 @@ def test_rank_bounded_by_shape():
     rng = random.Random(11)
     rows = [[Fraction(rng.randint(-9, 9)) for _ in range(3)] for _ in range(7)]
     assert rank(M(rows)) <= 3
+
+
+@st.composite
+def int_matrices(draw, entries):
+    """Up to 7x7 integer rows, with planted duplicate rows and zero columns."""
+    ncols = draw(st.integers(0, 7))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=7))
+    if rows:
+        picks = draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))
+        rows += [list(rows[i]) for i in picks]
+    if ncols:
+        for j in draw(st.lists(st.integers(0, ncols - 1), max_size=2)):
+            for r in rows:
+                r[j] = 0
+    return rows, ncols
+
+
+def sympy_rank_mod_p(rows, ncols):
+    dm = DomainMatrix([[ZZ(x) for x in r] for r in rows], (len(rows), ncols), ZZ)
+    return dm.convert_to(GF(MOD_P)).rank()
+
+
+def reduced(rows):
+    return [[x % MOD_P for x in r] for r in rows]
+
+
+# |entries| <= 50 on at most 7 columns: by Hadamard's bound every minor is
+# below 132^7 < p, so no nonzero minor vanishes mod p and the ranks agree.
+@settings(deadline=None)
+@given(int_matrices(st.integers(-50, 50)))
+def test_mod_rank_matches_rank_over_q(case):
+    rows, ncols = case
+    expected = sympy.Matrix(len(rows), ncols, [x for r in rows for x in r]).rank()
+    assert integer_rank(rows, ncols) == expected
+    assert mod_rank(reduced(rows), ncols) == expected
+    assert mod_rank([list(r) for r in rows], ncols) == expected  # negative entries as given
+
+
+@settings(deadline=None)
+@given(
+    int_matrices(
+        st.one_of(
+            st.integers(-50, 50),
+            st.integers(-3, 3).map(lambda c: c * MOD_P),
+            st.integers(-50, 50).map(lambda x: x + MOD_P),
+            st.integers(0, MOD_P - 1),
+        )
+    )
+)
+def test_mod_rank_is_rank_over_gf_p(case):
+    rows, ncols = case
+    got = mod_rank(reduced(rows), ncols)
+    assert got == sympy_rank_mod_p(rows, ncols)
+    assert got <= integer_rank(rows, ncols)
+
+
+def test_mod_rank_drops_where_a_minor_is_divisible_by_p():
+    rows = [[1, 2], [2, 4 + MOD_P]]  # determinant p
+    assert integer_rank(rows) == 2
+    assert mod_rank(reduced(rows), 2) == 1
