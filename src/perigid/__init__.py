@@ -33,7 +33,6 @@ from .gain_graph import (
     gain_rank,
     reverse_edge,
     switch,
-    validate,
 )
 from .linalg import RationalMatrix, integer_rank, rank
 from .motion import (

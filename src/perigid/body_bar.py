@@ -15,15 +15,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .framework import Lattice
-from .gain_graph import (
-    BAR_JOINT,
-    BODY_BAR,
-    GainEdge,
-    GainGraph,
-    gain_rank,
-    require_valid,
-)
+from .framework import Lattice, _check_args
+from .gain_graph import BAR_JOINT, BODY_BAR, GainEdge, GainGraph, gain_rank
 from .rigidity import (
     GLOBALLY_RIGID,
     NOT_GLOBALLY_RIGID,
@@ -42,20 +35,9 @@ class BodyBarGainGraph:
     bar_edges: dict[str, str]  # multigraph edge id -> bar edge id in graph
 
 
-def _check_body_bar_input(multigraph: GainGraph) -> None:
-    if multigraph.mode != BODY_BAR:
-        raise ValueError("expected a body-bar mode gain graph")
-    require_valid(multigraph)  # rejects identity-gain loops
-    if not multigraph.vertices:
-        raise ValueError("need at least one body")
-
-
 def build_body_bar_gain_graph(multigraph: GainGraph, d: int) -> BodyBarGainGraph:
     """Expand a body-bar multigraph into its bar-joint gain graph."""
-    _check_body_bar_input(multigraph)
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    k = multigraph.k
+    k = _check_args(multigraph, BODY_BAR, d)
     zero = (0,) * k
     bodies: dict[str, tuple[str, ...]] = {}
     attachment: dict[tuple[str, str], str] = {}  # (edge id, end marker) -> joint
@@ -88,7 +70,7 @@ def build_body_bar_gain_graph(multigraph: GainGraph, d: int) -> BodyBarGainGraph
         bar_edges[e.id] = bar_id
 
     vertices = tuple(j for v in multigraph.vertices for j in bodies[v])
-    graph = require_valid(GainGraph(k, vertices, tuple(edges), BAR_JOINT))
+    graph = GainGraph(k, vertices, tuple(edges), BAR_JOINT)
     return BodyBarGainGraph(graph, bodies, bar_edges)
 
 
@@ -101,13 +83,13 @@ def is_bar_redundantly_rigid(
     seed: int = 0,
 ) -> tuple[bool, list[dict]]:
     """True iff removing any single bar (attachments retained) leaves a rigid
-    body-bar gain graph.  Returns the verdict plus per-bar detail."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    _check_body_bar_input(multigraph)
-    if k is None:
-        k = multigraph.k
+    body-bar gain graph.  Returns the verdict plus per-bar detail.  With no
+    bars there is nothing to remove, and the verdict is whether the bodies
+    alone are rigid."""
+    k = _check_args(multigraph, BODY_BAR, d, k, lattice, trials)
     built = build_body_bar_gain_graph(multigraph, d)
+    if not multigraph.edges:
+        return is_rigid(built.graph, d, k, lattice, trials, seed).rigid, []
     details = []
     all_rigid = True
     for i, e in enumerate(multigraph.edges):
@@ -129,9 +111,7 @@ def decide_body_bar_global(
 ) -> GlobalVerdict:
     """Global rigidity of a generic periodic body-bar realisation: bar
     redundancy, plus gain rank d when k = d.  Never returns Unknown."""
-    _check_body_bar_input(multigraph)
-    if k is None:
-        k = multigraph.k
+    k = _check_args(multigraph, BODY_BAR, d, k, lattice, trials)
     redundant, details = is_bar_redundantly_rigid(multigraph, d, k, lattice, trials, seed)
     if not redundant:
         return GlobalVerdict(
@@ -141,8 +121,7 @@ def decide_body_bar_global(
             trials,
             seed,
         )
-    built = build_body_bar_gain_graph(multigraph, d)
-    g_rank = gain_rank(built.graph)
+    g_rank = gain_rank(multigraph)  # the expansion has the same gain rank
     if k == d and g_rank != d:
         return GlobalVerdict(
             NOT_GLOBALLY_RIGID,
@@ -239,11 +218,7 @@ def count_rank(
     """Combinatorial rigidity of a generic body-bar realisation via the count
     matroid on the bars.  Exact but exponential; refuses more than `edge_cap`
     edges."""
-    _check_body_bar_input(multigraph)
-    if k is None:
-        k = multigraph.k
-    if k != multigraph.k:
-        raise ValueError("declared k does not match graph")
+    k = _check_args(multigraph, BODY_BAR, d, k)
     m = len(multigraph.edges)
     if m > edge_cap:
         raise ValueError(f"{m} edges exceed the enumeration cap of {edge_cap}")

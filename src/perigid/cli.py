@@ -28,7 +28,7 @@ from .document import (
     parse_lattice_matrix,
 )
 from .framework import Framework, Lattice
-from .gain_graph import BAR_JOINT, BODY_BAR, covering_window, require_valid
+from .gain_graph import BAR_JOINT, BODY_BAR, covering_window
 from .motion import build_flex_path, sample_path, verify_path
 from .rigidity import decide_global_rigidity, is_rigid, is_vertex_redundantly_rigid
 
@@ -49,15 +49,13 @@ def _load_document(path: str):
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: not valid JSON: {exc}") from exc
     try:
-        doc = parse_document(raw)
-        require_valid(doc.graph)
+        return parse_document(raw)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
-    return doc
 
 
 def _resolve_lattice(doc, args) -> Lattice | None:
-    if getattr(args, "lattice_file", None):
+    if args.lattice_file:
         try:
             with open(args.lattice_file) as fh:
                 raw = json.load(fh)
@@ -115,13 +113,13 @@ def cmd_global(args) -> int:
 def cmd_bodybar(args) -> int:
     doc = _load_document(args.file)
     _require_mode(doc, BODY_BAR)
-    lattice = _resolve_lattice(doc, args)
     if args.action == "build":
         built = build_body_bar_gain_graph(doc.graph, doc.d)
         _emit(graph_to_document(built.graph, doc.d))
     elif args.action == "counts":
         _emit(count_rank(doc.graph, doc.d, doc.k, args.edge_cap).to_json())
     else:  # global
+        lattice = _resolve_lattice(doc, args)
         verdict = decide_body_bar_global(
             doc.graph, doc.d, doc.k, lattice, args.trials, args.seed
         )
@@ -209,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_flexpath)
 
     p = sub.add_parser("covering", help="export a finite covering window")
-    _add_common(p, seeded=False)
+    p.add_argument("file", help="input document (JSON)")
     p.add_argument("--window", type=int, default=1)
     p.add_argument("--format", choices=["dot", "json"], default="json")
     p.set_defaults(func=cmd_covering)

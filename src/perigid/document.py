@@ -42,12 +42,6 @@ def parse_rational(value: Any, where: str) -> Fraction:
     raise DocumentError(f"{where}: expected an integer or 'num/den' string")
 
 
-def format_rational(x: Fraction) -> int | str:
-    if x.denominator == 1:
-        return int(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
 @dataclass(frozen=True)
 class Document:
     d: int

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .gain_graph import BAR_JOINT, GainGraph, GainVector, require_valid
+from .gain_graph import BAR_JOINT, BODY_BAR, GainGraph, GainVector
 from .linalg import MOD_P, RationalMatrix, mod_rank, rank
 
 Point = tuple[Fraction, ...]
 Placement = dict[str, Point]
 
 SAMPLE_MAX = 2**30  # placement/lattice coordinates drawn from [1, SAMPLE_MAX]
+GAIN_BOUND = 2**60  # generic_rank takes gain entries below this in absolute value
 
 
 @dataclass(frozen=True)
@@ -179,14 +180,43 @@ def random_generic_framework(
     seed: int = 0,
 ) -> Framework:
     """Seeded random framework; coordinates uniform integers in [1, 2^30]."""
-    require_valid(graph)
+    _check_args(graph, BAR_JOINT, d, None, lattice)
     rng = random.Random(seed)
     if lattice is None:
         lattice = random_lattice(rng, d, graph.k)
-    elif lattice.d != d or lattice.k != graph.k:
-        raise ValueError("lattice dimensions do not match")
     placement = {v: _random_point(rng, d) for v in graph.vertices}
     return Framework(graph, lattice, placement)
+
+
+def _check_args(
+    graph: GainGraph,
+    mode: str,
+    d: int,
+    k: int | None = None,
+    lattice: Lattice | None = None,
+    trials: int = 1,
+) -> int:
+    """The argument rules of every public decision; returns graph.k.
+
+    The graph itself is valid by construction; what is left is that it is in
+    `mode` (a body-bar graph needs a body), that a declared k is graph.k, that
+    0 <= k <= d with d >= 1, that a lattice is d x k and that trials >= 1.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if graph.mode != mode:
+        raise ValueError(f"expected a {mode} gain graph, got {graph.mode}")
+    if mode == BODY_BAR and not graph.vertices:
+        raise ValueError("need at least one body")
+    if k is not None and k != graph.k:
+        raise ValueError("declared k does not match graph")
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if graph.k > d:
+        raise ValueError("need 0 <= k <= d")
+    if lattice is not None and (lattice.d != d or lattice.k != graph.k):
+        raise ValueError("lattice dimensions do not match")
+    return graph.k
 
 
 def _trial_seed(seed: int, trial: int) -> int:
@@ -225,19 +255,12 @@ def generic_rank(
     generic rank, so the result never over-reports; by Schwartz-Zippel one
     trial falls short with probability at most rank/p.  A rational `lattice`
     is reduced mod p once; a denominator divisible by p raises ValueError.
+    So does a gain entry of absolute value 2^60 or more: below that, distinct
+    gains stay distinct mod p.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if k is not None and k != graph.k:
-        raise ValueError("declared k does not match graph")
-    require_valid(graph)
-    if graph.mode != BAR_JOINT:
-        raise ValueError("frameworks are defined on bar-joint gain graphs")
-    k = graph.k
-    if not (0 <= k <= d):
-        raise ValueError("need 0 <= k <= d")
-    if lattice is not None and (lattice.d != d or lattice.k != k):
-        raise ValueError("lattice dimensions do not match")
+    k = _check_args(graph, BAR_JOINT, d, k, lattice, trials)
+    if any(abs(g) >= GAIN_BOUND for e in graph.edges for g in e.gain):
+        raise ValueError("gain entries must be below 2^60 in absolute value")
     fixed = None if lattice is None else _lattice_mod_p(lattice)
     p = MOD_P
     verts = graph.vertices

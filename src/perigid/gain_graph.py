@@ -4,7 +4,8 @@ Gains are written additively: reversing an edge negates its gain, a switching
 at a vertex adds a fixed vector to every outgoing gain and subtracts it from
 every incoming one.  A graph is either in "bar-joint" mode (no loops, no
 parallel edges with equal gain) or "body-bar" mode (loops with nonzero gain
-and equal-gain parallels allowed).
+and equal-gain parallels allowed).  The constructor enforces these rules, so
+every `GainGraph` is valid, and switching, reversal and deletion keep it so.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ GainVector = tuple[int, ...]
 
 
 class InvalidGainGraphError(ValueError):
-    """Raised when an operation requires a graph that passes validation."""
+    """Raised when a gain graph breaks a structural or mode rule."""
 
 
 def _vec_add(a: GainVector, b: GainVector) -> GainVector:
@@ -59,30 +60,30 @@ class GainGraph:
 
     def __post_init__(self):
         if self.k < 0:
-            raise ValueError("periodicity rank must be >= 0")
+            raise InvalidGainGraphError("periodicity rank must be >= 0")
         if self.mode not in (BAR_JOINT, BODY_BAR):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise InvalidGainGraphError(f"unknown mode {self.mode!r}")
         if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("duplicate vertex identifiers")
+            raise InvalidGainGraphError("duplicate vertex identifiers")
         vset = set(self.vertices)
         seen_ids = set()
         for e in self.edges:
             if e.id in seen_ids:
-                raise ValueError(f"duplicate edge id {e.id!r}")
+                raise InvalidGainGraphError(f"duplicate edge id {e.id!r}")
             seen_ids.add(e.id)
             if e.tail not in vset or e.head not in vset:
-                raise ValueError(f"edge {e.id!r} references unknown vertex")
+                raise InvalidGainGraphError(f"edge {e.id!r} references unknown vertex")
             if len(e.gain) != self.k:
-                raise ValueError(f"edge {e.id!r} gain has length {len(e.gain)}, expected {self.k}")
+                raise InvalidGainGraphError(f"edge {e.id!r} gain has length {len(e.gain)}, expected {self.k}")
+        problems = _mode_violations(self)
+        if problems:
+            raise InvalidGainGraphError("; ".join(problems))
 
     def edge(self, edge_id: str) -> GainEdge:
         for e in self.edges:
             if e.id == edge_id:
                 return e
         raise KeyError(f"unknown edge {edge_id!r}")
-
-    def incident(self, v: str) -> list[GainEdge]:
-        return [e for e in self.edges if e.tail == v or e.head == v]
 
     def delete_vertex(self, v: str) -> "GainGraph":
         if v not in self.vertices:
@@ -118,52 +119,27 @@ def gain_graph(k, vertices, edges, mode=BAR_JOINT) -> GainGraph:
     return GainGraph(k, tuple(vertices), tuple(built), mode)
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    edges: tuple[str, ...]
-    message: str
-
-
-def validate(graph: GainGraph) -> list[Violation]:
-    """Check the mode-dependent invariants; returns all violations found."""
-    out: list[Violation] = []
-    zero = (0,) * graph.k
-    if graph.mode == BAR_JOINT:
-        for e in graph.edges:
-            if e.is_loop():
-                out.append(Violation("loop", (e.id,), f"loop {e.id!r} not allowed in bar-joint mode"))
-        seen: dict[tuple[str, str, GainVector], str] = {}
-        for e in graph.edges:
-            if e.is_loop():
-                continue
-            # canonical orientation so that a->b gain g and b->a gain -g collide
-            if e.head < e.tail:
-                key = (e.head, e.tail, _vec_neg(e.gain))
-            else:
-                key = (e.tail, e.head, e.gain)
-            if key in seen:
-                out.append(
-                    Violation(
-                        "parallel-equal-gain",
-                        (seen[key], e.id),
-                        f"edges {seen[key]!r} and {e.id!r} are parallel with the same gain",
-                    )
-                )
-            else:
-                seen[key] = e.id
-    else:
-        for e in graph.edges:
-            if e.is_loop() and e.gain == zero:
-                out.append(Violation("identity-loop", (e.id,), f"loop {e.id!r} has identity gain"))
+def _mode_violations(graph: GainGraph) -> list[str]:
+    """Messages for every breach of the mode rules: loops and equal-gain
+    parallels in bar-joint mode, identity-gain loops in body-bar mode."""
+    if graph.mode == BODY_BAR:
+        zero = (0,) * graph.k
+        return [f"loop {e.id!r} has identity gain" for e in graph.edges if e.is_loop() and e.gain == zero]
+    out = [f"loop {e.id!r} not allowed in bar-joint mode" for e in graph.edges if e.is_loop()]
+    seen: dict[tuple[str, str, GainVector], str] = {}
+    for e in graph.edges:
+        if e.is_loop():
+            continue
+        # canonical orientation so that a->b gain g and b->a gain -g collide
+        if e.head < e.tail:
+            key = (e.head, e.tail, _vec_neg(e.gain))
+        else:
+            key = (e.tail, e.head, e.gain)
+        if key in seen:
+            out.append(f"edges {seen[key]!r} and {e.id!r} are parallel with the same gain")
+        else:
+            seen[key] = e.id
     return out
-
-
-def require_valid(graph: GainGraph) -> GainGraph:
-    violations = validate(graph)
-    if violations:
-        raise InvalidGainGraphError("; ".join(v.message for v in violations))
-    return graph
 
 
 def switch(graph: GainGraph, v: str, gamma: GainVector) -> GainGraph:

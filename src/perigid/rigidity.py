@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .framework import Lattice, generic_rank, max_generic_rank
-from .gain_graph import GainGraph, gain_rank, require_valid
+from .framework import Lattice, _check_args, generic_rank, max_generic_rank
+from .gain_graph import BAR_JOINT, GainGraph, gain_rank
 
 STANDARD_COUNT = "standard-count"
 SATURATED_COMPARISON = "saturated-complete-comparison"
@@ -68,7 +68,7 @@ def is_rigid(
     trials: int = 3,
     seed: int = 0,
 ) -> RigidityVerdict:
-    # generic_rank validates the graph, its mode, k and the lattice
+    # generic_rank checks the arguments
     achieved = generic_rank(graph, d, k, lattice, trials, seed)
     k = graph.k
     n = len(graph.vertices)
@@ -90,11 +90,7 @@ def is_vertex_redundantly_rigid(
     Deleting down to the empty vertex set counts as rigid.  Returns the
     verdict and a per-vertex detail list.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    require_valid(graph)
-    if k is None:
-        k = graph.k
+    k = _check_args(graph, BAR_JOINT, d, k, lattice, trials)
     details = []
     all_rigid = True
     for i, v in enumerate(graph.vertices):
@@ -130,10 +126,9 @@ def decide_global_rigidity(
     already ensured gain rank k, which is Theorem 2's rank-d condition at
     k = d); otherwise Unknown (the sufficient condition is not necessary).
     """
-    if k is None:
-        k = graph.k
+    base = is_rigid(graph, d, k, lattice, trials, seed)  # checks the arguments
+    k = graph.k
     n = len(graph.vertices)
-    base = is_rigid(graph, d, k, lattice, trials, seed)
     if not base.rigid:
         return GlobalVerdict(
             NOT_GLOBALLY_RIGID, "not-rigid", {"rigidity": base.to_json()}, trials, seed

@@ -1,0 +1,59 @@
+"""Every public decision rejects bad arguments with a ValueError, also where
+no rank is ever taken: a one-vertex graph (every vertex deletion leaves the
+empty graph) and a body-bar graph with no bars (nothing to delete)."""
+
+import pytest
+
+from perigid.body_bar import (
+    build_body_bar_gain_graph,
+    count_rank,
+    decide_body_bar_global,
+    is_bar_redundantly_rigid,
+)
+from perigid.framework import generic_rank, identity_lattice, random_generic_framework
+from perigid.gain_graph import BAR_JOINT, BODY_BAR, gain_graph
+from perigid.rigidity import decide_global_rigidity, is_rigid, is_vertex_redundantly_rigid
+
+GRAPHS = {
+    BAR_JOINT: lambda k: gain_graph(k, ["a"], []),
+    BODY_BAR: lambda k: gain_graph(k, ["b0", "b1"], [], mode=BODY_BAR),
+}
+
+# (decision, the mode it takes, its keyword parameters besides graph and d)
+DECISIONS = [
+    (generic_rank, BAR_JOINT, {"k", "lattice", "trials"}),
+    (is_rigid, BAR_JOINT, {"k", "lattice", "trials"}),
+    (is_vertex_redundantly_rigid, BAR_JOINT, {"k", "lattice", "trials"}),
+    (decide_global_rigidity, BAR_JOINT, {"k", "lattice", "trials"}),
+    (random_generic_framework, BAR_JOINT, {"lattice"}),
+    (is_bar_redundantly_rigid, BODY_BAR, {"k", "lattice", "trials"}),
+    (decide_body_bar_global, BODY_BAR, {"k", "lattice", "trials"}),
+    (count_rank, BODY_BAR, {"k"}),
+    (build_body_bar_gain_graph, BODY_BAR, set()),
+]
+
+# bad argument -> (parameter it needs, graph in the other mode, graph k, d, keywords)
+CASES = {
+    "trials-0": ("trials", False, 1, 2, {"trials": 0}),
+    "wrong-mode": (None, True, 1, 2, {}),
+    "k-mismatch": ("k", False, 1, 2, {"k": 2}),
+    "d-0": (None, False, 0, 0, {}),
+    "k-above-d": (None, False, 3, 2, {}),
+    "lattice-shape": ("lattice", False, 1, 2, {"lattice": identity_lattice(3, 1)}),
+}
+
+COMBINATIONS = [
+    pytest.param(decision, mode, case, id=f"{decision.__name__}-{case}")
+    for decision, mode, params in DECISIONS
+    for case, (needs, *_) in CASES.items()
+    if needs is None or needs in params
+]
+
+
+@pytest.mark.parametrize("decision, mode, case", COMBINATIONS)
+def test_bad_argument_rejected(decision, mode, case):
+    _, other_mode, k, d, kwargs = CASES[case]
+    if other_mode:
+        mode = BODY_BAR if mode == BAR_JOINT else BAR_JOINT
+    with pytest.raises(ValueError):
+        decision(GRAPHS[mode](k), d, **kwargs)

@@ -65,9 +65,22 @@ class TestBuild:
             build_body_bar_gain_graph(g, 2)
 
     def test_rejects_identity_loop(self):
-        g = gain_graph(2, ["b0"], [("b0", "b0", (0, 0))], mode=BODY_BAR)
-        with pytest.raises(ValueError):
-            build_body_bar_gain_graph(g, 2)
+        # an identity-gain loop cannot reach build_body_bar_gain_graph: the
+        # multigraph constructor already rejects it
+        with pytest.raises(ValueError, match="identity gain"):
+            gain_graph(2, ["b0"], [("b0", "b0", (0, 0))], mode=BODY_BAR)
+
+
+class TestBarLess:
+    @pytest.mark.parametrize(
+        "d,k,n", [(d, k, n) for d in (2, 3) for k in range(d + 1) for n in (1, 2, 3)]
+    )
+    def test_verdict_matches_count_rank(self, d, k, n):
+        # with no bar to delete, bar-redundancy is rigidity of the bodies alone
+        g = gain_graph(k, [f"b{i}" for i in range(n)], [], mode=BODY_BAR)
+        rigid = count_rank(g, d).rigid
+        assert is_bar_redundantly_rigid(g, d) == (rigid, [])
+        assert (decide_body_bar_global(g, d).status == GLOBALLY_RIGID) == rigid
 
 
 class TestCountRank:

@@ -150,6 +150,21 @@ class TestInvalidInput:
         code, out, err = run(capsys, "rigid", write(tmp_path, doc))
         assert code == EXIT_INVALID and out == "" and "denominator" in err
 
+    def test_gain_aliasing_mod_p_rejected(self, tmp_path, capsys):
+        # gains 0 and 2^61 - 1 coincide mod p
+        edges = [
+            {"tail": "a", "head": "b", "gain": [0]},
+            {"tail": "a", "head": "b", "gain": [2**61 - 1]},
+        ]
+        doc = {**FIG2, "periodicity": 1, "edges": edges}
+        code, out, err = run(capsys, "rigid", write(tmp_path, doc))
+        assert code == EXIT_INVALID and out == "" and "2^60" in err
+
+    def test_covering_takes_no_lattice_file(self, tmp_path, capsys):
+        lat = write(tmp_path, [[1, 0], [0, 1]], "lat.json")
+        code, out, _ = run(capsys, "covering", write(tmp_path, FIG2), "--lattice-file", lat)
+        assert code == EXIT_INVALID and out == ""
+
 
 class TestBodyBar:
     def test_global(self, tmp_path, capsys):
@@ -174,6 +189,24 @@ class TestBodyBar:
         # rigidity verdict matches the counts verdict above
         code, out, _ = run(capsys, "rigid", write(tmp_path, built_doc, "built.json"))
         assert code == EXIT_OK and json.loads(out)["rigid"] is True
+
+    def test_global_without_bars(self, tmp_path, capsys):
+        path = write(tmp_path, NO_BARS)
+        code, out, _ = run(capsys, "bodybar", "global", path)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["status"] == "NotGloballyRigid"
+        assert payload["detail"] == {"bar_deletions": []}
+        _, out, _ = run(capsys, "bodybar", "counts", path)
+        assert json.loads(out)["rigid"] is False
+
+    @pytest.mark.parametrize("action", ["counts", "build"])
+    def test_lattice_file_read_by_global_only(self, tmp_path, capsys, action):
+        path, missing = write(tmp_path, BODYBAR), str(tmp_path / "missing.json")
+        code, _, _ = run(capsys, "bodybar", action, path, "--lattice-file", missing)
+        assert code == EXIT_OK
+        code, _, _ = run(capsys, "bodybar", "global", path, "--lattice-file", missing)
+        assert code == EXIT_INVALID
 
     def test_edge_cap_enforced(self, tmp_path, capsys):
         code, _, err = run(

@@ -1,0 +1,93 @@
+"""CLI stdout pinned byte for byte on two fixture documents.
+
+`golden_cli_stdout.json` maps each invocation below to its stdout.  A change
+that keeps the mathematics keeps this test passing unchanged; after an
+intended change of output, rewrite the file with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import io
+import json
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from perigid.cli import EXIT_OK, main
+
+GOLDEN = Path(__file__).with_name("golden_cli_stdout.json")
+
+DOCUMENTS = {
+    # the input document of the README
+    "FIG2": {
+        "dim": 2,
+        "periodicity": 2,
+        "mode": "bar-joint",
+        "vertices": ["a", "b"],
+        "edges": [
+            {"tail": "a", "head": "b", "gain": [0, 0]},
+            {"tail": "a", "head": "b", "gain": [1, 0]},
+        ],
+        "lattice": [[1, 0], [0, 1]],
+        "placement": {"a": [0, 0], "b": ["2/5", "3/7"]},
+        "q": {"a": [0, 0], "b": ["2/5", "-3/7"]},
+    },
+    # two bodies, three parallel bars and two loops: bar-redundantly rigid
+    "BODYBAR": {
+        "dim": 2,
+        "periodicity": 1,
+        "mode": "body-bar",
+        "vertices": ["b0", "b1"],
+        "edges": [
+            {"tail": "b0", "head": "b1", "gain": [0]},
+            {"tail": "b0", "head": "b1", "gain": [1]},
+            {"tail": "b0", "head": "b1", "gain": [0]},
+            {"tail": "b1", "head": "b1", "gain": [1]},
+            {"tail": "b0", "head": "b0", "gain": [2]},
+        ],
+    },
+}
+
+INVOCATIONS = [
+    *[(cmd, "FIG2", "--seed", seed) for cmd in ("rigid", "vrr", "global") for seed in ("0", "5")],
+    ("covering", "FIG2", "--window", "1"),
+    ("covering", "FIG2", "--window", "1", "--format", "dot"),
+    ("flexpath", "FIG2"),
+    ("bodybar", "global", "BODYBAR", "--seed", "0"),
+    ("bodybar", "global", "BODYBAR", "--seed", "5"),
+    ("bodybar", "counts", "BODYBAR"),
+    ("bodybar", "build", "BODYBAR"),
+    ("covering", "BODYBAR", "--window", "1"),
+]
+
+
+def stdout_of(argv, workdir: Path) -> str:
+    args = []
+    for a in argv:
+        if a in DOCUMENTS:
+            path = workdir / f"{a}.json"
+            path.write_text(json.dumps(DOCUMENTS[a]))
+            a = str(path)
+        args.append(a)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(args)
+    assert code == EXIT_OK, argv
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("argv", INVOCATIONS, ids=" ".join)
+def test_stdout_matches_golden(argv, tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    assert stdout_of(argv, tmp_path) == golden[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        golden = {" ".join(argv): stdout_of(argv, Path(tmp)) for argv in INVOCATIONS}
+    GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
+    print(f"wrote {len(golden)} entries to {GOLDEN}", file=sys.stderr)

@@ -236,6 +236,20 @@ class TestGenericRank:
             generic_rank(g, 2, lattice=lattice)
 
 
+    # gains 0 and p differ but coincide mod p, so that pair would read as
+    # flexible; below 2^60 in absolute value distinct gains stay distinct
+    @pytest.mark.parametrize("gain", [MOD_P, 2**60, -(2**60)])
+    def test_gain_at_or_above_bound_rejected(self, gain):
+        g = gain_graph(1, ["a", "b"], [("a", "b", (0,)), ("a", "b", (gain,))])
+        with pytest.raises(ValueError, match="2\\^60"):
+            generic_rank(g, 2)
+
+    @pytest.mark.parametrize("gain", [2**60 - 1, 1 - 2**60])
+    def test_gain_just_below_bound_accepted(self, gain):
+        g = gain_graph(1, ["a", "b"], [("a", "b", (0,)), ("a", "b", (gain,))])
+        assert generic_rank(g, 2) == 2
+
+
 class TestEquivalenceCongruence:
     def test_identity(self):
         fw = fig2_framework()

@@ -2,39 +2,54 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from perigid.gain_graph import (
+    BAR_JOINT,
     BODY_BAR,
     GainEdge,
     GainGraph,
+    InvalidGainGraphError,
     covering_window,
     cycle_space_generators,
     gain_graph,
     gain_rank,
     reverse_edge,
     switch,
-    validate,
 )
 from support import fig2_graph, random_bar_joint_graph
 
 
 class TestValidate:
+    """Every GainGraph is valid by construction: the constructor raises
+    InvalidGainGraphError with all mode-rule messages joined by "; "."""
+
     def test_fig2_is_valid(self):
-        assert validate(fig2_graph()) == []
+        g = fig2_graph()
+        assert GainGraph(g.k, g.vertices, g.edges, g.mode) == g
 
     def test_loop_rejected_in_bar_joint(self):
-        g = gain_graph(2, ["a"], [("a", "a", (1, 0))])
-        kinds = [v.kind for v in validate(g)]
-        assert kinds == ["loop"]
+        with pytest.raises(InvalidGainGraphError, match=r"^loop 'e0' not allowed in bar-joint mode$"):
+            gain_graph(2, ["a"], [("a", "a", (1, 0))])
 
     def test_parallel_same_gain_after_reorientation(self):
-        g = gain_graph(2, ["a", "b"], [("a", "b", (1, 0)), ("b", "a", (-1, 0))])
-        kinds = [v.kind for v in validate(g)]
-        assert kinds == ["parallel-equal-gain"]
+        with pytest.raises(
+            InvalidGainGraphError, match=r"^edges 'e0' and 'e1' are parallel with the same gain$"
+        ):
+            gain_graph(2, ["a", "b"], [("a", "b", (1, 0)), ("b", "a", (-1, 0))])
+
+    def test_every_violation_reported(self):
+        with pytest.raises(InvalidGainGraphError) as info:
+            gain_graph(1, ["a", "b"], [("a", "b", (1,)), ("a", "a", (1,)), ("a", "b", (1,))])
+        assert str(info.value) == (
+            "loop 'e1' not allowed in bar-joint mode; "
+            "edges 'e0' and 'e2' are parallel with the same gain"
+        )
 
     def test_body_bar_identity_loop_rejected(self):
-        g = gain_graph(2, ["a"], [("a", "a", (0, 0))], mode=BODY_BAR)
-        assert [v.kind for v in validate(g)] == ["identity-loop"]
+        with pytest.raises(InvalidGainGraphError, match=r"^loop 'e0' has identity gain$"):
+            gain_graph(2, ["a"], [("a", "a", (0, 0))], mode=BODY_BAR)
 
     def test_body_bar_allows_equal_parallels_and_gain_loops(self):
         g = gain_graph(
@@ -43,7 +58,43 @@ class TestValidate:
             [("a", "b", (0, 0)), ("a", "b", (0, 0)), ("a", "a", (1, 0))],
             mode=BODY_BAR,
         )
-        assert validate(g) == []
+        assert len(g.edges) == 3
+
+
+@st.composite
+def valid_graphs(draw):
+    """Gain graphs of either mode, drawn edge by edge and kept only where the
+    constructor accepts them, so every result is a valid graph."""
+    k = draw(st.integers(0, 3))
+    mode = draw(st.sampled_from([BAR_JOINT, BODY_BAR]))
+    vertices = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    edges: list[GainEdge] = []
+    for i in range(draw(st.integers(0, 8))):
+        edge = GainEdge(
+            f"e{i}",
+            draw(st.sampled_from(vertices)),
+            draw(st.sampled_from(vertices)),
+            tuple(draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))),
+        )
+        try:
+            GainGraph(k, tuple(vertices), tuple(edges + [edge]), mode)
+        except InvalidGainGraphError:
+            continue
+        edges.append(edge)
+    return GainGraph(k, tuple(vertices), tuple(edges), mode)
+
+
+@given(valid_graphs(), st.data())
+def test_operations_preserve_validity(g, data):
+    """Switching, reversal and deletion of a valid graph never raise."""
+    v = data.draw(st.sampled_from(g.vertices))
+    gamma = data.draw(st.lists(st.integers(-3, 3), min_size=g.k, max_size=g.k))
+    switch(g, v, gamma)
+    g.delete_vertex(v)
+    if g.edges:
+        e = data.draw(st.sampled_from(g.edges))
+        reverse_edge(g, e.id)
+        g.delete_edge(e.id)
 
 
 class TestSwitch:
