@@ -5,6 +5,7 @@ quotient gain graphs."""
 from .body_bar import (
     BodyBarGainGraph,
     CountReport,
+    body_bar_rank,
     build_body_bar_gain_graph,
     count_rank,
     decide_body_bar_global,

@@ -1,12 +1,27 @@
 """Periodic body-bar frameworks.
 
 The input is a multigraph of bodies whose edges are bars; loops must carry a
-nonzero gain and equal-gain parallel edges are allowed.  Each body expands to
-d+1 core joints plus one attachment joint per incident bar (two for a loop),
-joined by a complete graph of identity-gain edges; each bar becomes a single
-gain edge between attachment joints.  Rigidity of the result can be decided
-either geometrically (rank of the rigidity matrix) or combinatorially via
-the count matroid |F| <= C(d+1,2)|V(F)| - d - C(d-k(F),2).
+nonzero gain and equal-gain parallel edges are allowed.  Rigidity is decided
+geometrically, on the body-bar rigidity matrix in screw coordinates, or
+combinatorially, via the count matroid
+|F| <= C(d+1,2)|V(F)| - d - C(d-k(F),2).
+
+The rigidity matrix has C(d+1,2) columns (t, Omega) per body, the velocity
+t + Omega x of a body being fixed by a translation t and a skew-symmetric
+Omega, and one row per bar.  A bar from point a on body u to point b on body
+v with gain gamma has w = a - b - L(gamma) and the row (w, w^a) on u and
+-(w, w^b) on v, where (w^a)_ij = w_i a_j - w_j a_i for i < j; on a loop the
+two ends add up to (0, w^L(gamma)).  The framework is rigid when the generic
+rank reaches C(d+1,2)|B| - d - C(d-k,2), the target of `count_rank`.
+
+`build_body_bar_gain_graph` exports the equivalent bar-joint gain graph:
+each body becomes d+1 core joints plus one attachment joint per bar end,
+joined by a complete graph of identity-gain edges, and each bar a single
+gain edge between attachment joints.  Each body cluster is generically
+rigid, so the expansion's generic rank is the screw rank plus the sum of the
+cluster ranks, d*(#joints) - C(d+1,2)|B|, and its rigidity target exceeds the
+screw target by the same offset.  Per-bar verdicts report their ranks on the
+expansion's scale through this identity.
 """
 
 from __future__ import annotations
@@ -15,14 +30,16 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .framework import Lattice, _check_args
+from .framework import Lattice, _check_args, _sampled_rank
 from .gain_graph import BAR_JOINT, BODY_BAR, GainEdge, GainGraph, gain_rank
+from .linalg import MOD_P
 from .rigidity import (
     GLOBALLY_RIGID,
     NOT_GLOBALLY_RIGID,
+    STANDARD_COUNT,
     GlobalVerdict,
+    RigidityVerdict,
     _sub_seed,
-    is_rigid,
 )
 
 DEFAULT_EDGE_CAP = 20
@@ -36,7 +53,8 @@ class BodyBarGainGraph:
 
 
 def build_body_bar_gain_graph(multigraph: GainGraph, d: int) -> BodyBarGainGraph:
-    """Expand a body-bar multigraph into its bar-joint gain graph."""
+    """Expand a body-bar multigraph into its bar-joint gain graph (the
+    `bodybar build` export; the decisions use `body_bar_rank`)."""
     k = _check_args(multigraph, BODY_BAR, d)
     zero = (0,) * k
     bodies: dict[str, tuple[str, ...]] = {}
@@ -74,6 +92,54 @@ def build_body_bar_gain_graph(multigraph: GainGraph, d: int) -> BodyBarGainGraph
     return BodyBarGainGraph(graph, bodies, bar_edges)
 
 
+def body_bar_target(n_bodies: int, d: int, k: int) -> int:
+    """Rank of a rigid body-bar framework on n bodies: C(d+1,2)n - d - C(d-k,2)."""
+    return comb(d + 1, 2) * n_bodies - d - comb(d - k, 2)
+
+
+def body_bar_rank(
+    multigraph: GainGraph,
+    d: int,
+    k: int | None = None,
+    lattice: Lattice | None = None,
+    trials: int = 3,
+    seed: int = 0,
+) -> int:
+    """Generic rank of the body-bar rigidity matrix in screw coordinates.
+
+    Each trial draws both attachment points of every bar (and the lattice
+    columns when no `lattice` is given) from GF(p), p = 2^61 - 1, through the
+    sampling loop of `framework.generic_rank`, whose exactness contract it
+    shares: the result never over-reports, stops early at min(#bars,
+    `body_bar_target`), and gain entries of absolute value 2^60 or more
+    raise ValueError.
+    """
+    k = _check_args(multigraph, BODY_BAR, d, k, lattice, trials)
+    p = MOD_P
+    s = comb(d + 1, 2)
+    pairs = list(combinations(range(d), 2))
+    col_of = {v: i * s for i, v in enumerate(multigraph.vertices)}
+    ncols = s * len(multigraph.vertices)
+
+    def rows_of(rng, cols: list[list[int]]) -> list[list[int]]:
+        rows = []
+        for e in multigraph.edges:
+            a = [rng.randrange(p) for _ in range(d)]
+            b = [rng.randrange(p) for _ in range(d)]
+            w = [(a[i] - b[i] - sum(g * col[i] for g, col in zip(e.gain, cols))) % p for i in range(d)]
+            row = [0] * ncols
+            for sign, x, c in ((1, a, col_of[e.tail]), (-1, b, col_of[e.head])):
+                for i in range(d):
+                    row[c + i] += sign * w[i]
+                for j, (i1, i2) in enumerate(pairs):
+                    row[c + d + j] += sign * (w[i1] * x[i2] - w[i2] * x[i1])
+            rows.append([x % p for x in row])
+        return rows
+
+    cap = min(len(multigraph.edges), body_bar_target(len(multigraph.vertices), d, k))
+    return _sampled_rank(multigraph, d, lattice, trials, seed, ncols, cap, rows_of)
+
+
 def is_bar_redundantly_rigid(
     multigraph: GainGraph,
     d: int,
@@ -83,18 +149,29 @@ def is_bar_redundantly_rigid(
     seed: int = 0,
 ) -> tuple[bool, list[dict]]:
     """True iff removing any single bar (attachments retained) leaves a rigid
-    body-bar gain graph.  Returns the verdict plus per-bar detail.  With no
+    body-bar framework.  Returns the verdict plus per-bar detail.  With no
     bars there is nothing to remove, and the verdict is whether the bodies
-    alone are rigid."""
+    alone are rigid.
+
+    Each deletion i takes `body_bar_rank` with seed `_sub_seed(seed, i)`.
+    Its `achieved_rank` and `target_rank` are those of the joint expansion
+    (`build_body_bar_gain_graph`), which exceed the screw rank and target by
+    the ranks of the rigid body clusters, C(d+1,2)|B| + 2d|E| in all.
+    """
     k = _check_args(multigraph, BODY_BAR, d, k, lattice, trials)
-    built = build_body_bar_gain_graph(multigraph, d)
+    n = len(multigraph.vertices)
+    target = body_bar_target(n, d, k)
     if not multigraph.edges:
-        return is_rigid(built.graph, d, k, lattice, trials, seed).rigid, []
+        return body_bar_rank(multigraph, d, k, lattice, trials, seed) == target, []
+    offset = comb(d + 1, 2) * n + 2 * d * len(multigraph.edges)
     details = []
     all_rigid = True
     for i, e in enumerate(multigraph.edges):
-        reduced = built.graph.delete_edge(built.bar_edges[e.id])
-        verdict = is_rigid(reduced, d, k, lattice, trials, _sub_seed(seed, i))
+        sub = _sub_seed(seed, i)
+        achieved = body_bar_rank(multigraph.delete_edge(e.id), d, k, lattice, trials, sub)
+        verdict = RigidityVerdict(
+            achieved == target, achieved + offset, target + offset, STANDARD_COUNT, trials, sub
+        )
         details.append({"edge": e.id, "rigid": verdict.rigid, "verdict": verdict.to_json()})
         if not verdict.rigid:
             all_rigid = False
@@ -222,7 +299,7 @@ def count_rank(
     m = len(multigraph.edges)
     if m > edge_cap:
         raise ValueError(f"{m} edges exceed the enumeration cap of {edge_cap}")
-    target = comb(d + 1, 2) * len(multigraph.vertices) - d - comb(d - k, 2)
+    target = body_bar_target(len(multigraph.vertices), d, k)
     matroid = _CountMatroid(multigraph, d)
 
     # exhaustive search; any independent set satisfies |F| <= b(F) <= target,

@@ -166,16 +166,39 @@ def cmd_covering(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad flags in the `error: ` form of every other invalid input,
+    followed by the usage line, and exits 2."""
+
+    def error(self, message: str):
+        self.exit(EXIT_INVALID, f"error: {self.prog}: {message}\n{self.format_usage()}")
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser, seeded: bool = True) -> None:
     parser.add_argument("file", help="input document (JSON)")
     parser.add_argument("--lattice-file", help="JSON file with a d x k lattice matrix")
     if seeded:
-        parser.add_argument("--trials", type=int, default=3)
+        parser.add_argument("--trials", type=_int_at_least(1), default=3)
         parser.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="perigid",
         description="Rigidity analysis of fixed-lattice periodic frameworks from quotient gain graphs.",
     )
@@ -196,19 +219,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bodybar", help="body-bar pipeline")
     p.add_argument("action", choices=["global", "counts", "build"])
     _add_common(p)
-    p.add_argument("--edge-cap", type=int, default=DEFAULT_EDGE_CAP)
+    p.add_argument("--edge-cap", type=_int_at_least(0), default=DEFAULT_EDGE_CAP)
     p.set_defaults(func=cmd_bodybar)
 
     p = sub.add_parser("flexpath", help="build and certify the flex between p and q")
     _add_common(p, seeded=False)
-    p.add_argument("--samples", type=int, default=11)
-    p.add_argument("--window", type=int, default=1)
+    p.add_argument("--samples", type=_int_at_least(2), default=11)
+    p.add_argument("--window", type=_int_at_least(0), default=1)
     p.add_argument("--out", help="write the sampled trajectory as CSV")
     p.set_defaults(func=cmd_flexpath)
 
     p = sub.add_parser("covering", help="export a finite covering window")
     p.add_argument("file", help="input document (JSON)")
-    p.add_argument("--window", type=int, default=1)
+    p.add_argument("--window", type=_int_at_least(0), default=1)
     p.add_argument("--format", choices=["dot", "json"], default="json")
     p.set_defaults(func=cmd_covering)
 
@@ -220,7 +243,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse exits 2 on bad flags, which matches the invalid-input code
+        # bad flags exit 2 through _Parser.error; --help exits 0
         return int(exc.code or 0)
     try:
         return args.func(args)

@@ -237,6 +237,29 @@ def _lattice_mod_p(lattice: Lattice) -> list[list[int]]:
     return cols
 
 
+def _sampled_rank(graph, d, lattice, trials, seed, ncols, cap, rows_of) -> int:
+    """The one sampling loop of the generic ranks (`generic_rank` and
+    `body_bar.body_bar_rank`).
+
+    Trial t seeds `random.Random(_trial_seed(seed, t))`, takes the lattice
+    columns mod p (drawn from that generator when no `lattice` is given) and
+    the rows mod p that `rows_of(rng, cols)` builds from them, with entries in
+    [0, p); the result is the best `mod_rank` over the trials, stopping early
+    at `cap`.  Gain entries of absolute value 2^60 or more raise ValueError.
+    """
+    if any(abs(g) >= GAIN_BOUND for e in graph.edges for g in e.gain):
+        raise ValueError("gain entries must be below 2^60 in absolute value")
+    fixed = None if lattice is None else _lattice_mod_p(lattice)
+    best = 0
+    for t in range(trials):
+        rng = random.Random(_trial_seed(seed, t))
+        cols = fixed if fixed is not None else [[rng.randrange(MOD_P) for _ in range(d)] for _ in range(graph.k)]
+        best = max(best, mod_rank(rows_of(rng, cols), ncols))
+        if best == cap:
+            break
+    return best
+
+
 def generic_rank(
     graph: GainGraph,
     d: int,
@@ -259,18 +282,12 @@ def generic_rank(
     gains stay distinct mod p.
     """
     k = _check_args(graph, BAR_JOINT, d, k, lattice, trials)
-    if any(abs(g) >= GAIN_BOUND for e in graph.edges for g in e.gain):
-        raise ValueError("gain entries must be below 2^60 in absolute value")
-    fixed = None if lattice is None else _lattice_mod_p(lattice)
     p = MOD_P
     verts = graph.vertices
     col_of = {v: i * d for i, v in enumerate(verts)}
     ncols = d * len(verts)
-    cap = min(len(graph.edges), max_generic_rank(len(verts), d, k))
-    best = 0
-    for t in range(trials):
-        rng = random.Random(_trial_seed(seed, t))
-        cols = fixed if fixed is not None else [[rng.randrange(p) for _ in range(d)] for _ in range(k)]
+
+    def rows_of(rng: random.Random, cols: list[list[int]]) -> list[list[int]]:
         point = {v: [rng.randrange(p) for _ in range(d)] for v in verts}
         rows = []
         for e in graph.edges:
@@ -282,10 +299,10 @@ def generic_rank(
                 row[ct + i] = x
                 row[ch + i] = p - x if x else 0
             rows.append(row)
-        best = max(best, mod_rank(rows, ncols))
-        if best == cap:
-            break
-    return best
+        return rows
+
+    cap = min(len(graph.edges), max_generic_rank(len(verts), d, k))
+    return _sampled_rank(graph, d, lattice, trials, seed, ncols, cap, rows_of)
 
 
 def are_equivalent(framework: Framework, q: Placement) -> bool:

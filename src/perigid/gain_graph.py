@@ -20,6 +20,8 @@ BODY_BAR = "body-bar"
 
 GainVector = tuple[int, ...]
 
+COVERING_MAX_VERTICES = 10**6  # the largest covering window built
+
 
 class InvalidGainGraphError(ValueError):
     """Raised when a gain graph breaks a structural or mode rule."""
@@ -237,9 +239,16 @@ class CoveringWindow:
 
 def covering_window(graph: GainGraph, radius: int) -> CoveringWindow:
     """Finite window of the covering: one copy of each quotient vertex per
-    shift in [-radius, radius]^k, and every covering edge inside the window."""
+    shift in [-radius, radius]^k, and every covering edge inside the window.
+    A window of more than COVERING_MAX_VERTICES vertices raises ValueError
+    before any of it is built."""
     if radius < 0:
         raise ValueError("window radius must be >= 0")
+    size = len(graph.vertices) * (2 * radius + 1) ** graph.k
+    if size > COVERING_MAX_VERTICES:
+        raise ValueError(
+            f"covering window of {size} vertices exceeds the limit of {COVERING_MAX_VERTICES}"
+        )
     shifts = [tuple(s) for s in product(range(-radius, radius + 1), repeat=graph.k)]
     vertices = tuple(sorted((v, s) for v in graph.vertices for s in shifts))
     inside = set(vertices)

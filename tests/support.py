@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 from itertools import product
 
+from perigid.body_bar import build_body_bar_gain_graph
 from perigid.framework import (
     Framework,
+    Lattice,
     _trial_seed,
     generic_rank,
     identity_lattice,
@@ -15,6 +17,7 @@ from perigid.framework import (
 )
 from perigid.gain_graph import BAR_JOINT, BODY_BAR, GainEdge, GainGraph, gain_graph
 from perigid.linalg import rank
+from perigid.rigidity import _sub_seed, is_rigid
 
 
 def fig2_graph() -> GainGraph:
@@ -139,3 +142,32 @@ def bareiss_generic_rank(graph: GainGraph, d: int, lattice=None, trials: int = 3
         if best == cap:
             break
     return best
+
+
+def random_rational_lattice(rng: random.Random, d: int, k: int) -> Lattice:
+    """A d x k lattice with small random rational entries, redrawn until its
+    columns are independent."""
+    while True:
+        cols = tuple(
+            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(d)) for _ in range(k)
+        )
+        try:
+            return Lattice(d, k, cols)
+        except ValueError:
+            pass
+
+
+def expansion_bar_redundancy(multigraph: GainGraph, d: int, lattice=None, trials: int = 3, seed: int = 0):
+    """Reference for `is_bar_redundantly_rigid` on the joint expansion: each
+    bar's gain edge is deleted from `build_body_bar_gain_graph` and the rest
+    decided by `is_rigid`, with the decision's per-deletion seeds."""
+    k = multigraph.k
+    built = build_body_bar_gain_graph(multigraph, d)
+    if not multigraph.edges:
+        return is_rigid(built.graph, d, k, lattice, trials, seed).rigid, []
+    details = []
+    for i, e in enumerate(multigraph.edges):
+        reduced = built.graph.delete_edge(built.bar_edges[e.id])
+        verdict = is_rigid(reduced, d, k, lattice, trials, _sub_seed(seed, i))
+        details.append({"edge": e.id, "rigid": verdict.rigid, "verdict": verdict.to_json()})
+    return all(x["rigid"] for x in details), details

@@ -2,16 +2,20 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perigid.body_bar import (
+    body_bar_rank,
     build_body_bar_gain_graph,
     count_rank,
     decide_body_bar_global,
     is_bar_redundantly_rigid,
 )
-from perigid.gain_graph import BODY_BAR, gain_graph, gain_rank
+from perigid.framework import identity_lattice
+from perigid.gain_graph import BODY_BAR, GainEdge, GainGraph, gain_graph, gain_rank, reverse_edge, switch
 from perigid.rigidity import GLOBALLY_RIGID, NOT_GLOBALLY_RIGID, is_rigid
-from support import random_body_bar_multigraph
+from support import expansion_bar_redundancy, random_body_bar_multigraph, random_rational_lattice
 
 
 def one_body(loops, k=2):
@@ -175,6 +179,92 @@ class TestBarRedundancy:
     def test_two_bodies_one_bar_not_redundant(self):
         ok, _ = is_bar_redundantly_rigid(two_bodies([()]), 2)
         assert not ok
+
+
+class TestScrewMatrix:
+    """The screw-coordinate decision against the joint expansion it replaced."""
+
+    @pytest.mark.parametrize("d,k", [(d, k) for d in (1, 2, 3) for k in range(d + 1)])
+    def test_bar_deletions_match_expansion(self, d, k):
+        rng = random.Random(10 * d + k)
+        lattices = (None, identity_lattice(d, k), random_rational_lattice(rng, d, k))
+        loops = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+        graphs = [random_body_bar_multigraph(rng, d, k) for _ in range(6)] + [
+            gain_graph(k, ["b0"], [], mode=BODY_BAR),
+            gain_graph(k, ["b0", "b1"], [], mode=BODY_BAR),
+            gain_graph(k, ["b0"], [("b0", "b0", g) for g in loops], mode=BODY_BAR),
+            # equal-gain parallel bars, plus a loop when there is a gain
+            gain_graph(
+                k,
+                ["b0", "b1"],
+                [("b0", "b1", (0,) * k)] * (d + 1) + [("b1", "b1", g) for g in loops[:1]],
+                mode=BODY_BAR,
+            ),
+        ]
+        for g in graphs:
+            for lattice in lattices:
+                seed = rng.randint(0, 999)
+                got = is_bar_redundantly_rigid(g, d, lattice=lattice, seed=seed)
+                assert got == expansion_bar_redundancy(g, d, lattice, seed=seed), (g, lattice)
+
+    def test_rank_never_exceeds_target(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            d = rng.randint(1, 3)
+            k = rng.randint(0, d)
+            g = random_body_bar_multigraph(rng, d, k)
+            target = comb(d + 1, 2) * len(g.vertices) - d - comb(d - k, 2)
+            assert body_bar_rank(g, d, seed=rng.randint(0, 999)) <= min(len(g.edges), target)
+
+    def test_gain_bound(self):
+        g = two_bodies([(2**60,), (0,)], k=1)
+        with pytest.raises(ValueError, match="2\\^60"):
+            body_bar_rank(g, 2)
+        with pytest.raises(ValueError, match="2\\^60"):
+            decide_body_bar_global(g, 2)
+
+
+@st.composite
+def body_bar_cases(draw):
+    """(d, multigraph) with 1-3 bodies and at most 8 bars; loops get a
+    nonzero gain, and equal-gain parallel bars are allowed."""
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(0, d))
+    bodies = [f"b{i}" for i in range(draw(st.integers(1, 3)))]
+    edges = []
+    for i in range(draw(st.integers(0, 8))):
+        u = draw(st.sampled_from(bodies))
+        v = draw(st.sampled_from(bodies))
+        gain = tuple(draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k)))
+        if u != v or any(gain):
+            edges.append(GainEdge(f"e{i}", u, v, gain))
+    return d, GainGraph(k, tuple(bodies), tuple(edges), BODY_BAR)
+
+
+def count_status(g, d: int) -> str:
+    """The global status that `count_rank` gives: every single-bar deletion
+    (or, with no bars, the graph itself) rigid by counts, and gain rank d
+    when k = d."""
+    remaining = [g.delete_edge(e.id) for e in g.edges] or [g]
+    if not all(count_rank(h, d).rigid for h in remaining):
+        return NOT_GLOBALLY_RIGID
+    if g.k == d and gain_rank(g) != d:
+        return NOT_GLOBALLY_RIGID
+    return GLOBALLY_RIGID
+
+
+@settings(deadline=None)
+@given(body_bar_cases(), st.data())
+def test_status_matches_counts_and_is_invariant(case, data):
+    d, g = case
+    seed = data.draw(st.integers(0, 999))
+    status = decide_body_bar_global(g, d, seed=seed).status
+    assert status == count_status(g, d)
+    v = data.draw(st.sampled_from(g.vertices))
+    moved = switch(g, v, data.draw(st.lists(st.integers(-3, 3), min_size=g.k, max_size=g.k)))
+    if g.edges:
+        moved = reverse_edge(moved, data.draw(st.sampled_from(g.edges)).id)
+    assert decide_body_bar_global(moved, d, seed=seed).status == status
 
 
 class TestGlobalDecision:

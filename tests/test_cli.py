@@ -127,6 +127,13 @@ class TestInvalidInput:
             ("flexpath", "FIG2_WITH_PATH", "--samples", "1", "--out", "OUT"),
             ("vrr", "ONE_VERTEX", "--trials", "0"),
             ("bodybar", "global", "NO_BARS", "--trials", "0"),
+            ("flexpath", "FIG2_WITH_PATH", "--window", "-1"),
+            ("flexpath", "FIG2_WITH_PATH", "--samples", "1"),
+            ("flexpath", "FIG2_WITH_PATH", "--samples", "many"),
+            ("bodybar", "counts", "BODYBAR", "--edge-cap", "-1"),
+            ("bodybar", "build", "BODYBAR", "--trials", "0"),
+            ("covering", "FIG2", "--window", "1000000000"),
+            ("flexpath", "FIG2_WITH_PATH", "--window", "1000000000", "--out", "OUT"),
         ],
     )
     def test_bad_flag_value(self, tmp_path, capsys, argv):

@@ -1,4 +1,4 @@
-"""CLI stdout pinned byte for byte on two fixture documents.
+"""CLI stdout pinned byte for byte on four fixture documents.
 
 `golden_cli_stdout.json` maps each invocation below to its stdout.  A change
 that keeps the mathematics keeps this test passing unchanged; after an
@@ -48,6 +48,30 @@ DOCUMENTS = {
             {"tail": "b0", "head": "b0", "gain": [2]},
         ],
     },
+    # d=3, k=0: seven bars b0-b1 and six b1-b2, rigid but not bar-redundant
+    "BODYBAR_D3": {
+        "dim": 3,
+        "periodicity": 0,
+        "mode": "body-bar",
+        "vertices": ["b0", "b1", "b2"],
+        "edges": [{"tail": "b0", "head": "b1", "gain": []}] * 7
+        + [{"tail": "b1", "head": "b2", "gain": []}] * 6,
+    },
+    # d=2, k=2 with a rational lattice: equal-gain parallels and two loops
+    "BODYBAR_D2K2": {
+        "dim": 2,
+        "periodicity": 2,
+        "mode": "body-bar",
+        "vertices": ["b0", "b1"],
+        "edges": [
+            {"tail": "b0", "head": "b1", "gain": [0, 0]},
+            {"tail": "b0", "head": "b1", "gain": [0, 0]},
+            {"tail": "b1", "head": "b0", "gain": [0, 1]},
+            {"tail": "b0", "head": "b0", "gain": [1, 1]},
+            {"tail": "b1", "head": "b1", "gain": [2, -1]},
+        ],
+        "lattice": [["3/2", -1], [0, "2/5"]],
+    },
 }
 
 INVOCATIONS = [
@@ -55,8 +79,11 @@ INVOCATIONS = [
     ("covering", "FIG2", "--window", "1"),
     ("covering", "FIG2", "--window", "1", "--format", "dot"),
     ("flexpath", "FIG2"),
-    ("bodybar", "global", "BODYBAR", "--seed", "0"),
-    ("bodybar", "global", "BODYBAR", "--seed", "5"),
+    *[
+        ("bodybar", "global", doc, "--seed", seed)
+        for doc in ("BODYBAR", "BODYBAR_D3", "BODYBAR_D2K2")
+        for seed in ("0", "5")
+    ],
     ("bodybar", "counts", "BODYBAR"),
     ("bodybar", "build", "BODYBAR"),
     ("covering", "BODYBAR", "--window", "1"),

@@ -27,6 +27,7 @@ from support import (
     fig2_framework,
     fig2_graph,
     random_bar_joint_graph,
+    random_rational_lattice,
     triangle,
 )
 
@@ -210,16 +211,7 @@ class TestGenericRank:
     @pytest.mark.parametrize("d,k", [(d, k) for d in (2, 3) for k in range(d + 1)])
     def test_matches_bareiss_reference(self, d, k):
         rng = random.Random(100 * d + k)
-        while True:
-            cols = tuple(
-                tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(d))
-                for _ in range(k)
-            )
-            try:
-                rational = Lattice(d, k, cols)
-                break
-            except ValueError:
-                pass
+        rational = random_rational_lattice(rng, d, k)
         for _ in range(4):
             n = rng.randint(1, 6)
             g = random_bar_joint_graph(rng, k, n, rng.randint(0, d * n))

@@ -11,6 +11,7 @@ from perigid.gain_graph import (
     GainEdge,
     GainGraph,
     InvalidGainGraphError,
+    COVERING_MAX_VERTICES,
     covering_window,
     cycle_space_generators,
     gain_graph,
@@ -213,3 +214,11 @@ class TestCoveringWindow:
         g = random_bar_joint_graph(random.Random(3), k=2, n=3, max_edges=4)
         for m in (0, 1, 2):
             assert len(covering_window(g, m).vertices) == 3 * (2 * m + 1) ** 2
+
+    def test_size_bound_checked_before_building(self):
+        # 2 * 1001^2 vertices, just over the bound; a radius of 10^9 would
+        # exhaust memory if the window were built before the check
+        assert 2 * 1001**2 > COVERING_MAX_VERTICES
+        for radius in (500, 10**9):
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                covering_window(fig2_graph(), radius)
