@@ -26,13 +26,13 @@ expansion's scale through this identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from .framework import Lattice, _check_args, _sampled_rank
 from .gain_graph import BAR_JOINT, BODY_BAR, GainEdge, GainGraph, gain_rank
 from .linalg import MOD_P
+from .record import Record
 from .rigidity import (
     GLOBALLY_RIGID,
     NOT_GLOBALLY_RIGID,
@@ -45,11 +45,10 @@ from .rigidity import (
 DEFAULT_EDGE_CAP = 20
 
 
-@dataclass(frozen=True)
-class BodyBarGainGraph:
-    graph: GainGraph  # bar-joint mode
-    bodies: dict[str, tuple[str, ...]]  # body vertex -> joint names
-    bar_edges: dict[str, str]  # multigraph edge id -> bar edge id in graph
+class BodyBarGainGraph(Record):
+    # graph: the bar-joint GainGraph; bodies: body vertex -> joint names;
+    # bar_edges: multigraph edge id -> bar edge id in graph
+    __slots__ = ("graph", "bodies", "bar_edges")
 
 
 def build_body_bar_gain_graph(multigraph: GainGraph, d: int) -> BodyBarGainGraph:
@@ -216,13 +215,9 @@ def decide_body_bar_global(
     )
 
 
-@dataclass(frozen=True)
-class CountReport:
-    rigid: bool
-    target: int
-    matroid_rank: int
-    basis: tuple[str, ...] | None
-    violating_subset: tuple[str, ...] | None
+class CountReport(Record):
+    # basis and violating_subset are tuples of edge ids or None
+    __slots__ = ("rigid", "target", "matroid_rank", "basis", "violating_subset")
 
     def to_json(self) -> dict:
         return {

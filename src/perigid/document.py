@@ -7,7 +7,6 @@ boundary as integers or "num/den" strings so nothing is rounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
@@ -19,6 +18,7 @@ from .gain_graph import (
     GainEdge,
     GainGraph,
 )
+from .record import Record
 
 
 class DocumentError(ValueError):
@@ -42,15 +42,9 @@ def parse_rational(value: Any, where: str) -> Fraction:
     raise DocumentError(f"{where}: expected an integer or 'num/den' string")
 
 
-@dataclass(frozen=True)
-class Document:
-    d: int
-    k: int
-    mode: str
-    graph: GainGraph
-    lattice: Lattice | None
-    placement: Placement | None
-    q: Placement | None
+class Document(Record):
+    # lattice, placement and q are None when the document leaves them out
+    __slots__ = ("d", "k", "mode", "graph", "lattice", "placement", "q")
 
 
 def _parse_placement(obj: Any, d: int, vertices, where: str) -> Placement:
@@ -118,6 +112,9 @@ def parse_document(obj: Any) -> Document:
         for required in ("tail", "head", "gain"):
             if required not in e:
                 raise DocumentError(f"{where}: missing {required!r}")
+        for end in ("tail", "head"):
+            if not isinstance(e[end], str):
+                raise DocumentError(f"{where}: {end} must be a string")
         gain = e["gain"]
         if (
             not isinstance(gain, list)

@@ -9,25 +9,22 @@ edge (u, v, gamma) is ||p(u) - p(v) - L(gamma)||^2.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .gain_graph import BAR_JOINT, BODY_BAR, GainGraph, GainVector
 from .linalg import MOD_P, RationalMatrix, mod_rank, rank
+from .record import Record
 
 Point = tuple[Fraction, ...]
 Placement = dict[str, Point]
 
 SAMPLE_MAX = 2**30  # placement/lattice coordinates drawn from [1, SAMPLE_MAX]
-GAIN_BOUND = 2**60  # generic_rank takes gain entries below this in absolute value
+GAIN_BOUND = 2**60  # the sampled decisions take gain entries below this in absolute value
 
 
-@dataclass(frozen=True)
-class Lattice:
-    d: int
-    k: int
-    columns: tuple[Point, ...]  # k columns of length d
+class Lattice(Record):
+    __slots__ = ("d", "k", "columns")  # k columns, each a Point of length d
 
     def __post_init__(self):
         if not (0 <= self.k <= self.d):
@@ -56,11 +53,8 @@ def identity_lattice(d: int, k: int) -> Lattice:
     return Lattice(d, k, cols)
 
 
-@dataclass(frozen=True)
-class Framework:
-    graph: GainGraph
-    lattice: Lattice
-    placement: Placement  # treated as immutable
+class Framework(Record):
+    __slots__ = ("graph", "lattice", "placement")  # the placement is treated as immutable
 
     def __post_init__(self):
         if self.graph.mode != BAR_JOINT:
@@ -117,8 +111,7 @@ def rigidity_matrix(framework: Framework) -> RationalMatrix:
     return RationalMatrix(len(rows), d * len(verts), rows)
 
 
-@dataclass(frozen=True)
-class PinSpec:
+class PinSpec(Record):
     """Pinned vertices with per-vertex pinned coordinate counts.
 
     The first vertex is pinned in all d coordinates; each further vertex
@@ -126,8 +119,7 @@ class PinSpec:
     exactly d + C(d-k, 2) pinned coordinates in total.
     """
 
-    vertices: tuple[str, ...]
-    counts: tuple[int, ...]
+    __slots__ = ("vertices", "counts")
 
     @classmethod
     def default(cls, graph: GainGraph, d: int, k: int) -> "PinSpec":
@@ -194,15 +186,18 @@ def _check_args(
     d: int,
     k: int | None = None,
     lattice: Lattice | None = None,
-    trials: int = 1,
+    trials: int | None = None,
 ) -> int:
     """The argument rules of every public decision; returns graph.k.
 
     The graph itself is valid by construction; what is left is that it is in
     `mode` (a body-bar graph needs a body), that a declared k is graph.k, that
-    0 <= k <= d with d >= 1, that a lattice is d x k and that trials >= 1.
+    0 <= k <= d with d >= 1 and that a lattice is d x k.  A decision that
+    samples mod p, which is one given `trials`, also needs trials >= 1 and
+    every gain entry of the whole graph below 2^60 in absolute value, so the
+    bound does not depend on which subgraphs it goes on to rank.
     """
-    if trials < 1:
+    if trials is not None and trials < 1:
         raise ValueError("trials must be >= 1")
     if graph.mode != mode:
         raise ValueError(f"expected a {mode} gain graph, got {graph.mode}")
@@ -216,6 +211,8 @@ def _check_args(
         raise ValueError("need 0 <= k <= d")
     if lattice is not None and (lattice.d != d or lattice.k != graph.k):
         raise ValueError("lattice dimensions do not match")
+    if trials is not None and any(abs(g) >= GAIN_BOUND for e in graph.edges for g in e.gain):
+        raise ValueError("gain entries must be below 2^60 in absolute value")
     return graph.k
 
 
@@ -245,10 +242,8 @@ def _sampled_rank(graph, d, lattice, trials, seed, ncols, cap, rows_of) -> int:
     columns mod p (drawn from that generator when no `lattice` is given) and
     the rows mod p that `rows_of(rng, cols)` builds from them, with entries in
     [0, p); the result is the best `mod_rank` over the trials, stopping early
-    at `cap`.  Gain entries of absolute value 2^60 or more raise ValueError.
+    at `cap`.  The callers have checked the gain bound (`_check_args`).
     """
-    if any(abs(g) >= GAIN_BOUND for e in graph.edges for g in e.gain):
-        raise ValueError("gain entries must be below 2^60 in absolute value")
     fixed = None if lattice is None else _lattice_mod_p(lattice)
     best = 0
     for t in range(trials):

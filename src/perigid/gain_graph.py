@@ -10,10 +10,10 @@ every `GainGraph` is valid, and switching, reversal and deletion keep it so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .linalg import integer_rank
+from .record import Record
 
 BAR_JOINT = "bar-joint"
 BODY_BAR = "body-bar"
@@ -39,12 +39,8 @@ def _vec_neg(a: GainVector) -> GainVector:
     return tuple([-x for x in a])
 
 
-@dataclass(frozen=True)
-class GainEdge:
-    id: str
-    tail: str
-    head: str
-    gain: GainVector
+class GainEdge(Record):
+    __slots__ = ("id", "tail", "head", "gain")  # gain: a GainVector
 
     def is_loop(self) -> bool:
         return self.tail == self.head
@@ -53,12 +49,9 @@ class GainEdge:
         return GainEdge(self.id, self.head, self.tail, _vec_neg(self.gain))
 
 
-@dataclass(frozen=True)
-class GainGraph:
-    k: int
-    vertices: tuple[str, ...]
-    edges: tuple[GainEdge, ...]
-    mode: str = BAR_JOINT
+class GainGraph(Record):
+    __slots__ = ("k", "vertices", "edges", "mode")  # tuples of str and of GainEdge
+    _defaults = (BAR_JOINT,)
 
     def __post_init__(self):
         if self.k < 0:
@@ -229,12 +222,9 @@ def gain_rank(graph: GainGraph, edge_ids=None) -> int:
     return integer_rank(gens, graph.k)
 
 
-@dataclass(frozen=True)
-class CoveringWindow:
-    radius: int
-    k: int
-    vertices: tuple[tuple[str, GainVector], ...]
-    edges: tuple[tuple[tuple[str, GainVector], tuple[str, GainVector]], ...]
+class CoveringWindow(Record):
+    # vertices are (vertex, shift) pairs, edges sorted pairs of them
+    __slots__ = ("radius", "k", "vertices", "edges")
 
 
 def covering_window(graph: GainGraph, radius: int) -> CoveringWindow:

@@ -14,32 +14,24 @@ identities; floating point only ever appears in the trajectory sampler.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
-from .framework import Framework, Lattice, Placement, check_placement
+from .framework import Framework, Placement, check_placement
 from .gain_graph import GainGraph, GainVector, covering_window
+from .record import Record
 
 CONSTANT = "constant"
 INCREASING = "increasing"
 DECREASING = "decreasing"
 
 
-@dataclass(frozen=True)
-class FlexPath:
-    d: int
-    k: int
-    lattice: Lattice  # the original d-dimensional lattice; lifted as (L, 0^d)
-    midpoint: Placement  # a = (p + q) / 2
-    half_difference: Placement  # b = (p - q) / 2
+class FlexPath(Record):
+    # lattice: the original d-dimensional Lattice, lifted as (L, 0^d);
+    # midpoint a = (p + q) / 2 and half_difference b = (p - q) / 2 are Placements
+    __slots__ = ("d", "k", "lattice", "midpoint", "half_difference")
 
 
-@dataclass(frozen=True)
-class PairWitness:
-    u: str
-    v: str
-    gamma: GainVector
-    inner_product: Fraction
+class PairWitness(Record):
+    __slots__ = ("u", "v", "gamma", "inner_product")  # a GainVector and a Fraction
 
     @property
     def direction(self) -> str:
@@ -50,12 +42,10 @@ class PairWitness:
         return DECREASING if self.inner_product > 0 else INCREASING
 
 
-@dataclass(frozen=True)
-class PathCertificate:
-    endpoints_exact: bool
-    edge_witnesses: tuple[tuple[str, PairWitness], ...]  # (edge id, witness)
-    pair_witnesses: tuple[PairWitness, ...]  # congruence-criterion pair set
-    flexibility: bool
+class PathCertificate(Record):
+    # edge_witnesses: (edge id, PairWitness) pairs; pair_witnesses: the
+    # PairWitnesses of the congruence-criterion pair set
+    __slots__ = ("endpoints_exact", "edge_witnesses", "pair_witnesses", "flexibility")
 
     @property
     def all_edges_preserved(self) -> bool:

@@ -9,10 +9,9 @@ the standard count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .framework import Lattice, _check_args, generic_rank, max_generic_rank
 from .gain_graph import BAR_JOINT, GainGraph, gain_rank
+from .record import Record
 
 STANDARD_COUNT = "standard-count"
 SATURATED_COMPARISON = "saturated-complete-comparison"
@@ -22,14 +21,8 @@ NOT_GLOBALLY_RIGID = "NotGloballyRigid"
 UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class RigidityVerdict:
-    rigid: bool
-    achieved_rank: int
-    target_rank: int
-    method: str
-    trials: int
-    seed: int
+class RigidityVerdict(Record):
+    __slots__ = ("rigid", "achieved_rank", "target_rank", "method", "trials", "seed")
 
     def to_json(self) -> dict:
         return {
@@ -42,13 +35,8 @@ class RigidityVerdict:
         }
 
 
-@dataclass(frozen=True)
-class GlobalVerdict:
-    status: str
-    reason: str
-    detail: dict
-    trials: int
-    seed: int
+class GlobalVerdict(Record):
+    __slots__ = ("status", "reason", "detail", "trials", "seed")
 
     def to_json(self) -> dict:
         return {

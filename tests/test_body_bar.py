@@ -223,6 +223,19 @@ class TestScrewMatrix:
         with pytest.raises(ValueError, match="2\\^60"):
             decide_body_bar_global(g, 2)
 
+    @pytest.mark.parametrize("gains", [[(2**60,)], [(2**60,), (0,)], [(0,), (-(2**60),)]])
+    def test_gain_bound_on_whole_multigraph(self, gains):
+        # with one bar, no bar deletion keeps the large gain; it is refused all the same
+        g = two_bodies(gains, k=1)
+        for decide in (body_bar_rank, is_bar_redundantly_rigid, decide_body_bar_global):
+            with pytest.raises(ValueError, match="2\\^60"):
+                decide(g, 2)
+
+    def test_gain_bound_leaves_exact_paths(self):
+        g = two_bodies([(2**60,)], k=1)
+        assert count_rank(g, 2).matroid_rank == 1
+        assert build_body_bar_gain_graph(g, 2).graph.edge("bar:e0").gain == (2**60,)
+
 
 @st.composite
 def body_bar_cases(draw):

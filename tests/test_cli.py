@@ -92,6 +92,14 @@ class TestInvalidInput:
         code, out, err = run(capsys, "rigid", write(tmp_path, bad))
         assert code == EXIT_INVALID and out == "" and "gain" in err
 
+    @pytest.mark.parametrize("end", ["tail", "head"])
+    @pytest.mark.parametrize("value", [[], {}, 1, None])
+    def test_edge_end_not_a_string(self, tmp_path, capsys, end, value):
+        bad = json.loads(json.dumps(FIG2))
+        bad["edges"][1][end] = value
+        code, out, err = run(capsys, "covering", write(tmp_path, bad))
+        assert code == EXIT_INVALID and out == "" and f"{end} must be a string" in err
+
     def test_unknown_field_rejected(self, tmp_path, capsys):
         bad = {**FIG2, "extra": 1}
         code, _, err = run(capsys, "rigid", write(tmp_path, bad))
@@ -165,6 +173,15 @@ class TestInvalidInput:
         ]
         doc = {**FIG2, "periodicity": 1, "edges": edges}
         code, out, err = run(capsys, "rigid", write(tmp_path, doc))
+        assert code == EXIT_INVALID and out == "" and "2^60" in err
+
+    @pytest.mark.parametrize("gains", [[[2**60]], [[2**60], [0]]])
+    def test_body_bar_gain_bound(self, tmp_path, capsys, gains):
+        # one bar of gain 2^60 is refused as two bars are, though no bar
+        # deletion of it keeps the large gain
+        edges = [{"tail": "b0", "head": "b1", "gain": g} for g in gains]
+        doc = {"dim": 2, "periodicity": 1, "mode": "body-bar", "vertices": ["b0", "b1"], "edges": edges}
+        code, out, err = run(capsys, "bodybar", "global", write(tmp_path, doc))
         assert code == EXIT_INVALID and out == "" and "2^60" in err
 
     def test_covering_takes_no_lattice_file(self, tmp_path, capsys):

@@ -169,6 +169,12 @@ class TestVertexRedundant:
         assert not ok
         assert any(not d["rigid"] for d in details)
 
+    def test_gain_bound_on_whole_graph(self):
+        # each vertex deletion of a two-vertex graph drops the large gain
+        g = gain_graph(1, ["a", "b"], [("a", "b", (0,)), ("a", "b", (2**60,))])
+        with pytest.raises(ValueError, match="2\\^60"):
+            is_vertex_redundantly_rigid(g, 2)
+
 
 class TestGlobalDecision:
     def test_fig2_not_globally_rigid(self):
