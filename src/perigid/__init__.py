@@ -14,15 +14,11 @@ from .body_bar import (
 from .framework import (
     Framework,
     Lattice,
-    PinSpec,
     are_congruent,
     are_equivalent,
     edge_measurements,
     generic_rank,
     identity_lattice,
-    pinned_rigidity_matrix,
-    random_generic_framework,
-    rigidity_matrix,
 )
 from .gain_graph import (
     CoveringWindow,
@@ -35,7 +31,7 @@ from .gain_graph import (
     reverse_edge,
     switch,
 )
-from .linalg import RationalMatrix, integer_rank, rank
+from .linalg import integer_rank
 from .motion import (
     FlexPath,
     PathCertificate,

@@ -10,7 +10,6 @@ library on bad input (documents, gain graphs, flag values) maps to exit 2.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -46,7 +45,9 @@ def _load_document(path: str):
             raw = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError and UnicodeDecodeError are ValueErrors; too deep a
+    # nesting raises RecursionError
+    except (ValueError, RecursionError) as exc:
         raise CliError(f"{path}: not valid JSON: {exc}") from exc
     try:
         return parse_document(raw)
@@ -59,7 +60,7 @@ def _resolve_lattice(doc, args) -> Lattice | None:
         try:
             with open(args.lattice_file) as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise CliError(f"cannot read lattice file: {exc}") from exc
         return parse_lattice_matrix(raw, doc.d, doc.k)
     return doc.lattice
@@ -139,17 +140,22 @@ def cmd_flexpath(args) -> int:
     path = build_flex_path(framework, doc.q)
     certificate = verify_path(path, framework, doc.q)
     if args.out:
+        import csv  # only this branch writes CSV
+
         rows = sample_path(path, args.samples, args.window)
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["t", "vertex", "shift"] + [f"x{i + 1}" for i in range(2 * doc.d)]
-            )
-            for row in rows:
+        try:
+            with open(args.out, "w", newline="") as fh:
+                writer = csv.writer(fh)
                 writer.writerow(
-                    [repr(row["t"]), row["vertex"], ";".join(str(s) for s in row["shift"])]
-                    + [repr(c) for c in row["coords"]]
+                    ["t", "vertex", "shift"] + [f"x{i + 1}" for i in range(2 * doc.d)]
                 )
+                for row in rows:
+                    writer.writerow(
+                        [repr(row["t"]), row["vertex"], ";".join(str(s) for s in row["shift"])]
+                        + [repr(c) for c in row["coords"]]
+                    )
+        except OSError as exc:
+            raise CliError(f"cannot write {args.out}: {exc}") from exc
     payload = certificate.to_json()
     payload["csv"] = args.out
     _emit(payload)

@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .gain_graph import BAR_JOINT, BODY_BAR, GainGraph, GainVector
-from .linalg import MOD_P, RationalMatrix, mod_rank, rank
+from .linalg import MOD_P, integer_rank, mod_rank
 from .record import Record
 
 Point = tuple[Fraction, ...]
 Placement = dict[str, Point]
 
-SAMPLE_MAX = 2**30  # placement/lattice coordinates drawn from [1, SAMPLE_MAX]
 GAIN_BOUND = 2**60  # the sampled decisions take gain entries below this in absolute value
 
 
@@ -31,7 +30,11 @@ class Lattice(Record):
             raise ValueError("need 0 <= k <= d")
         if len(self.columns) != self.k or any(len(c) != self.d for c in self.columns):
             raise ValueError("lattice needs k columns of length d")
-        if rank(RationalMatrix.from_rows(self.columns, self.d)) != self.k:
+        scaled = []
+        for col in self.columns:
+            den = lcm(*(x.denominator for x in col))
+            scaled.append([x.numerator * (den // x.denominator) for x in col])
+        if integer_rank(scaled, self.d) != self.k:
             raise ValueError("lattice columns are not linearly independent")
 
     def image(self, gamma: GainVector) -> Point:
@@ -91,93 +94,6 @@ def _measurements(framework: Framework, placement: Placement) -> list[Fraction]:
         ]
         out.append(sum(x * x for x in diff))
     return out
-
-
-def rigidity_matrix(framework: Framework) -> RationalMatrix:
-    """Jacobian of the squared-length map, one row per edge, d columns per
-    vertex (the constant factor 2 is dropped; it never changes the rank)."""
-    d = framework.d
-    verts = framework.graph.vertices
-    col_of = {v: i * d for i, v in enumerate(verts)}
-    rows = []
-    for e in framework.graph.edges:
-        row = [Fraction(0)] * (d * len(verts))
-        shift = framework.lattice.image(e.gain)
-        for i in range(d):
-            x = framework.placement[e.tail][i] - framework.placement[e.head][i] - shift[i]
-            row[col_of[e.tail] + i] += x
-            row[col_of[e.head] + i] -= x
-        rows.append(row)
-    return RationalMatrix(len(rows), d * len(verts), rows)
-
-
-class PinSpec(Record):
-    """Pinned vertices with per-vertex pinned coordinate counts.
-
-    The first vertex is pinned in all d coordinates; each further vertex
-    pins one coordinate fewer than the remaining rotational freedom, giving
-    exactly d + C(d-k, 2) pinned coordinates in total.
-    """
-
-    __slots__ = ("vertices", "counts")
-
-    @classmethod
-    def default(cls, graph: GainGraph, d: int, k: int) -> "PinSpec":
-        t = max(d - k, 1)
-        if len(graph.vertices) < t:
-            raise ValueError(f"need at least {t} vertices to pin")
-        counts = [d] + [d - k - j for j in range(1, t)]
-        return cls(tuple(graph.vertices[:t]), tuple(counts))
-
-    def total(self) -> int:
-        return sum(self.counts)
-
-
-def pinned_rigidity_matrix(framework: Framework, pins: PinSpec | None = None) -> RationalMatrix:
-    """Rigidity matrix plus unit rows selecting the pinned coordinates."""
-    d = framework.d
-    k = framework.lattice.k
-    if pins is None:
-        pins = PinSpec.default(framework.graph, d, k)
-    base = rigidity_matrix(framework)
-    verts = framework.graph.vertices
-    col_of = {v: i * d for i, v in enumerate(verts)}
-    rows = [list(base.row(i)) for i in range(base.rows)]
-    for v, count in zip(pins.vertices, pins.counts):
-        for c in range(count):
-            row = [Fraction(0)] * base.cols
-            row[col_of[v] + c] = Fraction(1)
-            rows.append(row)
-    return RationalMatrix(len(rows), base.cols, rows)
-
-
-def _random_point(rng: random.Random, d: int) -> Point:
-    return tuple(Fraction(rng.randint(1, SAMPLE_MAX)) for _ in range(d))
-
-
-def random_lattice(rng: random.Random, d: int, k: int) -> Lattice:
-    if not (0 <= k <= d):
-        raise ValueError("need 0 <= k <= d")
-    while True:
-        try:
-            return Lattice(d, k, tuple(_random_point(rng, d) for _ in range(k)))
-        except ValueError:  # dependent columns: draw again
-            pass
-
-
-def random_generic_framework(
-    graph: GainGraph,
-    d: int,
-    lattice: Lattice | None = None,
-    seed: int = 0,
-) -> Framework:
-    """Seeded random framework; coordinates uniform integers in [1, 2^30]."""
-    _check_args(graph, BAR_JOINT, d, None, lattice)
-    rng = random.Random(seed)
-    if lattice is None:
-        lattice = random_lattice(rng, d, graph.k)
-    placement = {v: _random_point(rng, d) for v in graph.vertices}
-    return Framework(graph, lattice, placement)
 
 
 def _check_args(

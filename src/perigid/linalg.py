@@ -1,64 +1,18 @@
-"""Exact matrix ranks: over the rationals and over GF(p), p = 2^61 - 1.
+"""Exact matrix ranks of integer matrices: over Q and over GF(p), p = 2^61 - 1.
 
-Deterministic ranks (gain ranks, lattice independence, the exact public
-`rank`) come from fraction-free Bareiss elimination.  Generic ranks of
-rigidity matrices come from `mod_rank` on integer rows reduced mod p: for any
-integer matrix, rank mod p <= rank over Q, so a modular rank never
-over-reports.  No verdict ever depends on floating point.
+Deterministic ranks (gain ranks, lattice independence on columns scaled by
+their common denominator) come from fraction-free Bareiss elimination in
+`integer_rank`.  Generic ranks of rigidity matrices come from `mod_rank` on
+integer rows reduced mod p: for any integer matrix, rank mod p <= rank over
+Q, so a modular rank never over-reports.  No verdict ever depends on
+floating point.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 MOD_P = 2**61 - 1  # a Mersenne prime: the field of the generic-rank samples
-
-
-class RationalMatrix:
-    """Immutable matrix of exact rationals, row-major."""
-
-    __slots__ = ("rows", "cols", "_data")
-
-    def __init__(self, rows: int, cols: int, entries: Iterable[Iterable[Rational]]):
-        data = tuple(tuple(Fraction(x) for x in row) for row in entries)
-        if len(data) != rows or any(len(r) != cols for r in data):
-            raise ValueError("entry grid does not match declared shape")
-        self.rows = rows
-        self.cols = cols
-        self._data = data
-
-    @classmethod
-    def from_rows(cls, entries: Sequence[Sequence[Rational]], cols: int | None = None) -> "RationalMatrix":
-        data = [list(r) for r in entries]
-        if cols is None:
-            cols = len(data[0]) if data else 0
-        return cls(len(data), cols, data)
-
-    def entry(self, i: int, j: int) -> Rational:
-        return self._data[i][j]
-
-    def row(self, i: int) -> tuple[Rational, ...]:
-        return self._data[i]
-
-    def transpose(self) -> "RationalMatrix":
-        if self.rows == 0 or self.cols == 0:
-            return RationalMatrix(self.cols, self.rows, [[] for _ in range(self.cols)])
-        return RationalMatrix(self.cols, self.rows, zip(*self._data))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._data == other._data
-        )
-
-    def __repr__(self) -> str:
-        return f"RationalMatrix({self.rows}x{self.cols})"
 
 
 def _bareiss_rank(rows: list[list], ncols: int) -> int:
@@ -132,16 +86,6 @@ def mod_rank(rows: list[list[int]], ncols: int) -> int:
         if r0 == m:
             break
     return r0
-
-
-def rank(matrix: RationalMatrix) -> int:
-    """Exact rank over the rationals."""
-    scaled = []
-    for i in range(matrix.rows):
-        row = matrix.row(i)
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        scaled.append([x.numerator * (mult // x.denominator) for x in row])
-    return _bareiss_rank(scaled, matrix.cols)
 
 
 def integer_rank(rows: Iterable[Sequence[int]], ncols: int | None = None) -> int:

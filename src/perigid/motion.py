@@ -14,6 +14,7 @@ identities; floating point only ever appears in the trajectory sampler.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .framework import Framework, Placement, check_placement
 from .gain_graph import GainGraph, GainVector, covering_window
@@ -93,13 +94,24 @@ def build_flex_path(framework: Framework, q: Placement) -> FlexPath:
     return FlexPath(framework.d, framework.lattice.k, framework.lattice, mid, half)
 
 
-def pair_witness(path: FlexPath, u: str, v: str, gamma: GainVector) -> PairWitness:
-    """Monotonicity witness for the pair (u at shift 0, v at shift gamma):
-    the inner product <a_u - a_v - L(gamma), b_u - b_v>."""
-    shift = path.lattice.image(gamma)
-    da = [path.midpoint[u][i] - path.midpoint[v][i] - shift[i] for i in range(path.d)]
-    db = [path.half_difference[u][i] - path.half_difference[v][i] for i in range(path.d)]
-    return PairWitness(u, v, tuple(gamma), sum(x * y for x, y in zip(da, db)))
+def _scaled(path: FlexPath):
+    """The path times the common denominator D of its midpoints,
+    half-differences and lattice columns, in integers: D, the scaled a and b
+    of each orbit, and gamma |-> D L(gamma)."""
+    points = [*path.midpoint.values(), *path.half_difference.values(), *path.lattice.columns]
+    den = math.lcm(*(x.denominator for point in points for x in point))
+
+    def scale(point):
+        return tuple([x.numerator * (den // x.denominator) for x in point])
+
+    cols = [scale(col) for col in path.lattice.columns]
+
+    def image(gamma: GainVector) -> list[int]:
+        return [sum(g * col[i] for g, col in zip(gamma, cols)) for i in range(path.d)]
+
+    mid = {v: scale(a) for v, a in path.midpoint.items()}
+    half = {v: scale(b) for v, b in path.half_difference.items()}
+    return den, mid, half, image
 
 
 def verify_path(path: FlexPath, framework: Framework, q: Placement) -> PathCertificate:
@@ -110,6 +122,12 @@ def verify_path(path: FlexPath, framework: Framework, q: Placement) -> PathCerti
     length-preserving iff its inner-product witness vanishes; the pair set of
     the finite congruence criterion (all vertex pairs at shift 0 and at each
     lattice generator) is classified as constant/increasing/decreasing.
+
+    The witness of the pair (u at shift 0, v at shift gamma) is the inner
+    product <a_u - a_v - L(gamma), b_u - b_v>.  It is computed in integers:
+    with a, b and L scaled by their common denominator D, it is the integer
+    inner product of the scaled vectors over D^2, and L(gamma) is taken once
+    per gain.
     """
     check_placement(framework.graph, framework.d, q)
     if path.d != framework.d or path.lattice != framework.lattice:
@@ -121,19 +139,25 @@ def verify_path(path: FlexPath, framework: Framework, q: Placement) -> PathCerti
         == tuple(q[v])
         for v in framework.graph.vertices
     )
-    edge_witnesses = tuple(
-        (e.id, pair_witness(path, e.tail, e.head, e.gain)) for e in framework.graph.edges
-    )
+    den, mid, half, image = _scaled(path)
+    den2 = den * den
     k = path.k
     gammas: list[GainVector] = [(0,) * k]
     for j in range(k):
         gammas.append(tuple(1 if i == j else 0 for i in range(k)))
+    shifts = {gamma: image(gamma) for gamma in {*gammas, *(e.gain for e in framework.graph.edges)}}
+
+    def witness(u: str, v: str, gamma: GainVector) -> PairWitness:
+        num = sum(
+            (au - av - s) * (bu - bv)
+            for au, av, s, bu, bv in zip(mid[u], mid[v], shifts[gamma], half[u], half[v])
+        )
+        return PairWitness(u, v, gamma, Fraction(num, den2))
+
+    edge_witnesses = tuple((e.id, witness(e.tail, e.head, e.gain)) for e in framework.graph.edges)
     verts = framework.graph.vertices
     pairs = tuple(
-        pair_witness(path, u, v, g)
-        for i, u in enumerate(verts)
-        for v in verts[i + 1 :]
-        for g in gammas
+        witness(u, v, g) for i, u in enumerate(verts) for v in verts[i + 1 :] for g in gammas
     )
     flexibility = any(w.direction != CONSTANT for w in pairs)
     return PathCertificate(endpoints, edge_witnesses, pairs, flexibility)
@@ -142,23 +166,35 @@ def verify_path(path: FlexPath, framework: Framework, q: Placement) -> PathCerti
 def sample_path(path: FlexPath, samples: int, window: int = 1) -> list[dict]:
     """Float positions in R^{2d} of all covering orbits in the window at
     `samples` evenly spaced parameters.  Presentation-grade output only;
-    certificates never consult these numbers."""
+    certificates never consult these numbers.  Raises ValueError when a
+    position could leave the float range."""
     if samples < 2:
         raise ValueError("need at least 2 samples")
     verts = sorted(path.midpoint)
     cover = covering_window(GainGraph(path.k, tuple(verts), ()), window)
+    # each orbit in floats, once: the point a + L(shift) and the half-difference
+    # b as their scaled integers over D; int / int rounds correctly, so these
+    # are the floats of the rationals themselves
+    den, mid, half_diff, image = _scaled(path)
+    orbits = []
+    for v, shift in cover.vertices:
+        try:
+            base = [(x + y) / den for x, y in zip(mid[v], image(shift))]
+            half = [x / den for x in half_diff[v]]
+            # |a + cos(pi t) b| <= |a| + |b|, also after rounding
+            finite = all(math.isfinite(abs(x) + abs(y)) for x, y in zip(base, half))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"coordinates of {v!r} are beyond the float range")
+        orbits.append((v, shift, base, half))
     rows = []
     for s in range(samples):
         t = s / (samples - 1)
         c = math.cos(math.pi * t)
         sn = math.sin(math.pi * t)
-        for v, shift in cover.vertices:
-            lat = path.lattice.image(shift)
-            first = [
-                float(path.midpoint[v][i] + lat[i]) + c * float(path.half_difference[v][i])
-                for i in range(path.d)
-            ]
-            second = [sn * float(path.half_difference[v][i]) for i in range(path.d)]
+        for v, shift, base, half in orbits:
+            first = [x + c * y for x, y in zip(base, half)]
+            second = [sn * y for y in half]
             rows.append({"t": t, "vertex": v, "shift": shift, "coords": first + second})
     return rows
-

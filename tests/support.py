@@ -1,23 +1,182 @@
-"""Shared builders for the test suite."""
+"""Shared builders for the test suite, and the oracles the library's fast
+paths are checked against: the exact Fraction rigidity matrix of a seeded
+framework, with its pinned form, and the Fraction monotonicity witness of a
+flex path."""
 
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
+from typing import Iterable, Sequence
 
 from perigid.body_bar import build_body_bar_gain_graph
 from perigid.framework import (
     Framework,
     Lattice,
+    _check_args,
     _trial_seed,
     generic_rank,
     identity_lattice,
     max_generic_rank,
-    random_generic_framework,
-    rigidity_matrix,
 )
-from perigid.gain_graph import BAR_JOINT, BODY_BAR, GainEdge, GainGraph, gain_graph
-from perigid.linalg import rank
+from perigid.gain_graph import BAR_JOINT, BODY_BAR, GainEdge, GainGraph, GainVector, gain_graph
+from perigid.linalg import integer_rank
+from perigid.motion import FlexPath, PairWitness
+from perigid.record import Record
 from perigid.rigidity import _sub_seed, is_rigid
+
+SAMPLE_MAX = 2**30  # placement/lattice coordinates drawn from [1, SAMPLE_MAX]
+
+
+class RationalMatrix:
+    """Immutable matrix of exact rationals, row-major."""
+
+    __slots__ = ("rows", "cols", "_data")
+
+    def __init__(self, rows: int, cols: int, entries: Iterable[Iterable[Fraction]]):
+        data = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        if len(data) != rows or any(len(r) != cols for r in data):
+            raise ValueError("entry grid does not match declared shape")
+        self.rows = rows
+        self.cols = cols
+        self._data = data
+
+    @classmethod
+    def from_rows(cls, entries: Sequence[Sequence[Fraction]], cols: int | None = None) -> "RationalMatrix":
+        data = [list(r) for r in entries]
+        if cols is None:
+            cols = len(data[0]) if data else 0
+        return cls(len(data), cols, data)
+
+    def entry(self, i: int, j: int) -> Fraction:
+        return self._data[i][j]
+
+    def row(self, i: int) -> tuple[Fraction, ...]:
+        return self._data[i]
+
+    def transpose(self) -> "RationalMatrix":
+        if self.rows == 0 or self.cols == 0:
+            return RationalMatrix(self.cols, self.rows, [[] for _ in range(self.cols)])
+        return RationalMatrix(self.cols, self.rows, zip(*self._data))
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, RationalMatrix)
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and self._data == other._data
+        )
+
+    def __repr__(self) -> str:
+        return f"RationalMatrix({self.rows}x{self.cols})"
+
+
+def rank(matrix: RationalMatrix) -> int:
+    """Exact rank over the rationals: each row scaled by the lcm of its
+    denominators, then `integer_rank`."""
+    scaled = []
+    for i in range(matrix.rows):
+        row = matrix.row(i)
+        mult = lcm(*(x.denominator for x in row)) if row else 1
+        scaled.append([x.numerator * (mult // x.denominator) for x in row])
+    return integer_rank(scaled, matrix.cols)
+
+
+def rigidity_matrix(framework: Framework) -> RationalMatrix:
+    """Jacobian of the squared-length map, one row per edge, d columns per
+    vertex (the constant factor 2 is dropped; it never changes the rank)."""
+    d = framework.d
+    verts = framework.graph.vertices
+    col_of = {v: i * d for i, v in enumerate(verts)}
+    rows = []
+    for e in framework.graph.edges:
+        row = [Fraction(0)] * (d * len(verts))
+        shift = framework.lattice.image(e.gain)
+        for i in range(d):
+            x = framework.placement[e.tail][i] - framework.placement[e.head][i] - shift[i]
+            row[col_of[e.tail] + i] += x
+            row[col_of[e.head] + i] -= x
+        rows.append(row)
+    return RationalMatrix(len(rows), d * len(verts), rows)
+
+
+class PinSpec(Record):
+    """Pinned vertices with per-vertex pinned coordinate counts.
+
+    The first vertex is pinned in all d coordinates; each further vertex
+    pins one coordinate fewer than the remaining rotational freedom, giving
+    exactly d + C(d-k, 2) pinned coordinates in total.
+    """
+
+    __slots__ = ("vertices", "counts")
+
+    @classmethod
+    def default(cls, graph: GainGraph, d: int, k: int) -> "PinSpec":
+        t = max(d - k, 1)
+        if len(graph.vertices) < t:
+            raise ValueError(f"need at least {t} vertices to pin")
+        counts = [d] + [d - k - j for j in range(1, t)]
+        return cls(tuple(graph.vertices[:t]), tuple(counts))
+
+    def total(self) -> int:
+        return sum(self.counts)
+
+
+def pinned_rigidity_matrix(framework: Framework, pins: PinSpec | None = None) -> RationalMatrix:
+    """Rigidity matrix plus unit rows selecting the pinned coordinates."""
+    d = framework.d
+    k = framework.lattice.k
+    if pins is None:
+        pins = PinSpec.default(framework.graph, d, k)
+    base = rigidity_matrix(framework)
+    verts = framework.graph.vertices
+    col_of = {v: i * d for i, v in enumerate(verts)}
+    rows = [list(base.row(i)) for i in range(base.rows)]
+    for v, count in zip(pins.vertices, pins.counts):
+        for c in range(count):
+            row = [Fraction(0)] * base.cols
+            row[col_of[v] + c] = Fraction(1)
+            rows.append(row)
+    return RationalMatrix(len(rows), base.cols, rows)
+
+
+def _random_point(rng: random.Random, d: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(rng.randint(1, SAMPLE_MAX)) for _ in range(d))
+
+
+def random_lattice(rng: random.Random, d: int, k: int) -> Lattice:
+    if not (0 <= k <= d):
+        raise ValueError("need 0 <= k <= d")
+    while True:
+        try:
+            return Lattice(d, k, tuple(_random_point(rng, d) for _ in range(k)))
+        except ValueError:  # dependent columns: draw again
+            pass
+
+
+def random_generic_framework(
+    graph: GainGraph,
+    d: int,
+    lattice: Lattice | None = None,
+    seed: int = 0,
+) -> Framework:
+    """Seeded random framework; coordinates uniform integers in [1, 2^30]."""
+    _check_args(graph, BAR_JOINT, d, None, lattice)
+    rng = random.Random(seed)
+    if lattice is None:
+        lattice = random_lattice(rng, d, graph.k)
+    placement = {v: _random_point(rng, d) for v in graph.vertices}
+    return Framework(graph, lattice, placement)
+
+
+def pair_witness(path: FlexPath, u: str, v: str, gamma: GainVector) -> PairWitness:
+    """Oracle for the witnesses of `verify_path`, in Fractions: the inner
+    product <a_u - a_v - L(gamma), b_u - b_v> for the pair (u at shift 0,
+    v at shift gamma)."""
+    shift = path.lattice.image(gamma)
+    da = [path.midpoint[u][i] - path.midpoint[v][i] - shift[i] for i in range(path.d)]
+    db = [path.half_difference[u][i] - path.half_difference[v][i] for i in range(path.d)]
+    return PairWitness(u, v, tuple(gamma), sum(x * y for x, y in zip(da, db)))
 
 
 def fig2_graph() -> GainGraph:

@@ -13,12 +13,8 @@ from perigid.framework import (
     are_congruent,
     are_equivalent,
     generic_rank,
-    pinned_rigidity_matrix,
-    random_generic_framework,
-    rigidity_matrix,
 )
 from perigid.gain_graph import gain_graph, gain_rank, reverse_edge, switch
-from perigid.linalg import rank
 from perigid.motion import build_flex_path, verify_path
 from perigid.rigidity import (
     GLOBALLY_RIGID,
@@ -33,8 +29,12 @@ from support import (
     fig2_framework,
     fig2_graph,
     four_cycle,
+    pinned_rigidity_matrix,
     random_bar_joint_graph,
     random_body_bar_multigraph,
+    random_generic_framework,
+    rank,
+    rigidity_matrix,
     triangle,
 )
 

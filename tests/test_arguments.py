@@ -10,9 +10,10 @@ from perigid.body_bar import (
     decide_body_bar_global,
     is_bar_redundantly_rigid,
 )
-from perigid.framework import generic_rank, identity_lattice, random_generic_framework
+from perigid.framework import generic_rank, identity_lattice
 from perigid.gain_graph import BAR_JOINT, BODY_BAR, gain_graph
 from perigid.rigidity import decide_global_rigidity, is_rigid, is_vertex_redundantly_rigid
+from support import random_generic_framework
 
 GRAPHS = {
     BAR_JOINT: lambda k: gain_graph(k, ["a"], []),

@@ -184,6 +184,33 @@ class TestInvalidInput:
         code, out, err = run(capsys, "bodybar", "global", write(tmp_path, doc))
         assert code == EXIT_INVALID and out == "" and "2^60" in err
 
+    @pytest.mark.parametrize("target", ["missing/path.csv", "."])
+    def test_out_not_writable(self, tmp_path, capsys, target):
+        out_path = str(tmp_path / target)
+        code, out, err = run(capsys, "flexpath", write(tmp_path, FIG2_WITH_PATH), "--out", out_path)
+        assert code == EXIT_INVALID and out == ""
+        assert err.startswith(f"error: cannot write {out_path}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["placement", "lattice"])
+    def test_coordinate_beyond_float_range(self, tmp_path, capsys, where):
+        doc = json.loads(json.dumps(FIG2_WITH_PATH))
+        if where == "lattice":
+            doc["lattice"][0][0] = "1e400"
+        else:
+            doc["placement"]["b"][0] = doc["q"]["b"][0] = "1e400"
+        out_csv = tmp_path / "path.csv"
+        code, out, err = run(capsys, "flexpath", write(tmp_path, doc), "--out", str(out_csv))
+        assert code == EXIT_INVALID and out == "" and "float range" in err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("content", [b"[" * 100000, b'{"dim": "\xe9"}'], ids=["deep", "latin-1"])
+    def test_unreadable_json(self, tmp_path, capsys, content):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "rigid", str(path))
+        assert code == EXIT_INVALID and out == ""
+        assert err.startswith(f"error: {path}: not valid JSON: ") and "Traceback" not in err
+
     def test_covering_takes_no_lattice_file(self, tmp_path, capsys):
         lat = write(tmp_path, [[1, 0], [0, 1]], "lat.json")
         code, out, _ = run(capsys, "covering", write(tmp_path, FIG2), "--lattice-file", lat)

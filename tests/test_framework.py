@@ -8,26 +8,27 @@ import sympy
 from perigid.framework import (
     Framework,
     Lattice,
-    PinSpec,
     are_congruent,
     are_equivalent,
     edge_measurements,
     generic_rank,
     identity_lattice,
-    pinned_rigidity_matrix,
-    random_generic_framework,
-    random_lattice,
-    rigidity_matrix,
 )
 from perigid.gain_graph import gain_graph
-from perigid.linalg import MOD_P, rank
+from perigid.linalg import MOD_P
 from support import (
+    PinSpec,
     bareiss_generic_rank,
     fig2_flip_placement,
     fig2_framework,
     fig2_graph,
+    pinned_rigidity_matrix,
     random_bar_joint_graph,
+    random_generic_framework,
+    random_lattice,
     random_rational_lattice,
+    rank,
+    rigidity_matrix,
     triangle,
 )
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from sympy import GF, ZZ
 from sympy.polys.matrices import DomainMatrix
 
-from perigid.linalg import MOD_P, RationalMatrix, integer_rank, mod_rank, rank
+from perigid.linalg import MOD_P, integer_rank, mod_rank
+from support import RationalMatrix, rank
 
 
 def M(rows, cols=None):

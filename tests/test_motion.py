@@ -1,6 +1,10 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perigid.framework import Framework, edge_measurements, identity_lattice
 from perigid.gain_graph import gain_graph
@@ -8,12 +12,17 @@ from perigid.motion import (
     CONSTANT,
     DECREASING,
     build_flex_path,
-    pair_witness,
     sample_path,
     verify_path,
 )
 from perigid.rigidity import is_rigid
-from support import fig2_flip_placement, fig2_framework
+from support import (
+    fig2_flip_placement,
+    fig2_framework,
+    pair_witness,
+    random_bar_joint_graph,
+    random_rational_lattice,
+)
 
 
 class TestBuild:
@@ -196,3 +205,64 @@ class TestSmallGraphCheck:
                     for i in range(2 * fw.d)
                 )
                 assert dist == pytest.approx(expect, abs=1e-9)
+
+
+@st.composite
+def flex_cases(draw):
+    """(framework, q): d in 1..3, k in 0..d, a rational lattice, 1-5 vertex
+    orbits and rational p and q; q keeps, reflects or moves each orbit."""
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(0, d))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    n = draw(st.integers(1, 5))
+    graph = random_bar_joint_graph(rng, k, n, draw(st.integers(0, 2 * n)))
+    coord = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    p, q = {}, {}
+    for v in graph.vertices:
+        p[v] = tuple(draw(st.lists(coord, min_size=d, max_size=d)))
+        q[v] = draw(
+            st.sampled_from([p[v], p[v][:-1] + (-p[v][-1],)])
+            | st.lists(coord, min_size=d, max_size=d).map(tuple)
+        )
+    return Framework(graph, random_rational_lattice(rng, d, k), p), q
+
+
+@settings(deadline=None, max_examples=30)
+@given(flex_cases())
+def test_witnesses_match_fraction_oracle(case):
+    fw, q = case
+    path = build_flex_path(fw, q)
+    cert = verify_path(path, fw, q)
+    for eid, w in cert.edge_witnesses:
+        e = fw.graph.edge(eid)
+        assert w == pair_witness(path, e.tail, e.head, e.gain)
+    for w in cert.pair_witnesses:
+        assert w == pair_witness(path, w.u, w.v, w.gamma)
+    assert cert.flexibility == any(w.direction != CONSTANT for w in cert.pair_witnesses)
+
+
+@settings(deadline=None, max_examples=15)
+@given(flex_cases())
+def test_samples_match_fraction_reference(case):
+    # each coordinate is the float of the exact rational, as it always was
+    fw, q = case
+    path = build_flex_path(fw, q)
+    for row in sample_path(path, samples=2, window=1):
+        v, c, sn = row["vertex"], math.cos(math.pi * row["t"]), math.sin(math.pi * row["t"])
+        lat = path.lattice.image(row["shift"])
+        a, b = path.midpoint[v], path.half_difference[v]
+        first = [float(a[i] + lat[i]) + c * float(b[i]) for i in range(path.d)]
+        assert row["coords"] == first + [sn * float(x) for x in b]
+
+
+@pytest.mark.parametrize(
+    "p, q", [(10**400, 10**400), (27 * 10**307, 7 * 10**307)], ids=["no-float", "sum-overflows"]
+)
+def test_sampling_beyond_float_range_rejected(p, q):
+    # 10^400 has no float; in the second case a = 1.7e308 and b = 1e308 have
+    # floats, but the position a + b at t = 0 has none
+    g = gain_graph(0, ["a"], [])
+    fw = Framework(g, identity_lattice(1, 0), {"a": (Fraction(p),)})
+    path = build_flex_path(fw, {"a": (Fraction(q),)})
+    with pytest.raises(ValueError, match="float range"):
+        sample_path(path, samples=2, window=0)

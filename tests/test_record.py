@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from perigid.body_bar import BodyBarGainGraph, CountReport, build_body_bar_gain_graph, count_rank
 from perigid.document import Document, parse_document
-from perigid.framework import Framework, Lattice, PinSpec, identity_lattice
+from perigid.framework import Framework, Lattice, identity_lattice
 from perigid.gain_graph import (
     BAR_JOINT,
     BODY_BAR,
@@ -31,10 +31,10 @@ from perigid.gain_graph import (
     covering_window,
     gain_graph,
 )
-from perigid.motion import FlexPath, PairWitness, PathCertificate, build_flex_path, pair_witness, verify_path
+from perigid.motion import FlexPath, PairWitness, PathCertificate, build_flex_path, verify_path
 from perigid.record import Record
 from perigid.rigidity import GlobalVerdict, RigidityVerdict, decide_global_rigidity, is_rigid
-from support import fig2_flip_placement, fig2_framework, fig2_graph
+from support import PinSpec, fig2_flip_placement, fig2_framework, fig2_graph, pair_witness
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -85,8 +85,10 @@ TWINS = {cls: dataclasses.make_dataclass(cls.__name__, cls.__slots__, frozen=Tru
 
 
 def test_every_value_type_is_covered():
+    # the library's 13 value types, and PinSpec, which the tests keep
     assert len(TYPES) == 14
-    assert set(TYPES) == {c for c in Record.__subclasses__() if c.__module__.startswith("perigid.")}
+    library = {c for c in Record.__subclasses__() if c.__module__.startswith("perigid.")}
+    assert set(TYPES) == library | {PinSpec}
 
 
 # hashable and unhashable values, with a small pool so that equal fields occur
@@ -197,7 +199,7 @@ class TestValidation:
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    probe = "import sys; print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    probe = "import sys; print(sorted(m for m in ('csv', 'dataclasses', 'inspect') if m in sys.modules))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     bare = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     if bare.stdout.strip() != "[]":

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perigid.framework import Lattice, generic_rank, identity_lattice, max_generic_rank
-from perigid.gain_graph import gain_graph, reverse_edge, switch
+from perigid.gain_graph import GainEdge, GainGraph, InvalidGainGraphError, gain_graph, reverse_edge, switch
 from perigid.rigidity import (
     GLOBALLY_RIGID,
     NOT_GLOBALLY_RIGID,
@@ -240,3 +242,63 @@ class TestInvariance:
                     mutated = reverse_edge(mutated, rng.choice(mutated.edges).id)
             after = decide_global_rigidity(mutated, d, seed=1)
             assert (after.status, after.reason) == (base.status, base.reason)
+
+
+@st.composite
+def bar_joint_cases(draw):
+    """(d, graph): d in 1..3, k in 0..d, 1-5 vertex orbits and at most 10
+    edges with gains in {-2..2}^k."""
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(0, d))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    n = draw(st.integers(1, 5))
+    return d, random_bar_joint_graph(rng, k, n, draw(st.integers(0, 10)))
+
+
+def verdicts(g, d: int, seed: int) -> tuple:
+    """Every bar-joint verdict on g, with no vertex names in it."""
+    rigid = is_rigid(g, d, seed=seed)
+    vrr, _ = is_vertex_redundantly_rigid(g, d, seed=seed)
+    glob = decide_global_rigidity(g, d, seed=seed)
+    return rigid.rigid, rigid.achieved_rank, vrr, glob.status, glob.reason
+
+
+@settings(deadline=None, max_examples=100)
+@given(bar_joint_cases(), st.data())
+def test_verdicts_invariant_under_switching_reversal_relabelling(case, data):
+    d, g = case
+    seed = data.draw(st.integers(0, 999))
+    base = verdicts(g, d, seed)
+    v = data.draw(st.sampled_from(g.vertices))
+    moved = switch(g, v, data.draw(st.lists(st.integers(-3, 3), min_size=g.k, max_size=g.k)))
+    if g.edges:
+        moved = reverse_edge(moved, data.draw(st.sampled_from(g.edges)).id)
+    # new names in a new order
+    order = data.draw(st.permutations(moved.vertices))
+    name = {w: f"u{i}" for i, w in enumerate(order)}
+    relabelled = GainGraph(
+        g.k,
+        tuple(name[w] for w in order),
+        tuple(GainEdge(e.id, name[e.tail], name[e.head], e.gain) for e in moved.edges),
+    )
+    assert verdicts(moved, d, seed) == base
+    assert verdicts(relabelled, d, seed) == base
+
+
+@settings(deadline=None, max_examples=150)
+@given(bar_joint_cases(), st.data())
+def test_rank_bounded_and_monotone_under_edge_addition(case, data):
+    d, g = case
+    n = len(g.vertices)
+    seed = data.draw(st.integers(0, 999))
+    r = generic_rank(g, d, seed=seed)
+    assert r <= min(len(g.edges), max_generic_rank(n, d, g.k))
+    if n < 2:
+        return
+    u, v = data.draw(st.permutations(g.vertices))[:2]
+    gain = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=g.k, max_size=g.k)))
+    try:
+        bigger = GainGraph(g.k, g.vertices, g.edges + (GainEdge("new", u, v, gain),))
+    except InvalidGainGraphError:
+        return  # parallel to an edge of the same gain
+    assert r <= generic_rank(bigger, d, seed=seed) <= r + 1
