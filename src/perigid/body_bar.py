@@ -29,7 +29,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .framework import Lattice, _check_args, _sampled_rank
+from .framework import Lattice, _check_args, _sampled_rank, _sub_seed
 from .gain_graph import BAR_JOINT, BODY_BAR, GainEdge, GainGraph, gain_rank
 from .linalg import MOD_P
 from .record import Record
@@ -39,7 +39,6 @@ from .rigidity import (
     STANDARD_COUNT,
     GlobalVerdict,
     RigidityVerdict,
-    _sub_seed,
 )
 
 DEFAULT_EDGE_CAP = 20
@@ -97,12 +96,7 @@ def body_bar_target(n_bodies: int, d: int, k: int) -> int:
 
 
 def body_bar_rank(
-    multigraph: GainGraph,
-    d: int,
-    k: int | None = None,
-    lattice: Lattice | None = None,
-    trials: int = 3,
-    seed: int = 0,
+    multigraph: GainGraph, d: int, lattice: Lattice | None = None, trials: int = 3, seed: int = 0
 ) -> int:
     """Generic rank of the body-bar rigidity matrix in screw coordinates.
 
@@ -113,7 +107,7 @@ def body_bar_rank(
     `body_bar_target`), and gain entries of absolute value 2^60 or more
     raise ValueError.
     """
-    k = _check_args(multigraph, BODY_BAR, d, k, lattice, trials)
+    k = _check_args(multigraph, BODY_BAR, d, lattice, trials)
     p = MOD_P
     s = comb(d + 1, 2)
     pairs = list(combinations(range(d), 2))
@@ -140,12 +134,7 @@ def body_bar_rank(
 
 
 def is_bar_redundantly_rigid(
-    multigraph: GainGraph,
-    d: int,
-    k: int | None = None,
-    lattice: Lattice | None = None,
-    trials: int = 3,
-    seed: int = 0,
+    multigraph: GainGraph, d: int, lattice: Lattice | None = None, trials: int = 3, seed: int = 0
 ) -> tuple[bool, list[dict]]:
     """True iff removing any single bar (attachments retained) leaves a rigid
     body-bar framework.  Returns the verdict plus per-bar detail.  With no
@@ -157,78 +146,45 @@ def is_bar_redundantly_rigid(
     (`build_body_bar_gain_graph`), which exceed the screw rank and target by
     the ranks of the rigid body clusters, C(d+1,2)|B| + 2d|E| in all.
     """
-    k = _check_args(multigraph, BODY_BAR, d, k, lattice, trials)
+    k = _check_args(multigraph, BODY_BAR, d, lattice, trials)
     n = len(multigraph.vertices)
     target = body_bar_target(n, d, k)
     if not multigraph.edges:
-        return body_bar_rank(multigraph, d, k, lattice, trials, seed) == target, []
+        return body_bar_rank(multigraph, d, lattice, trials, seed) == target, []
     offset = comb(d + 1, 2) * n + 2 * d * len(multigraph.edges)
     details = []
-    all_rigid = True
     for i, e in enumerate(multigraph.edges):
         sub = _sub_seed(seed, i)
-        achieved = body_bar_rank(multigraph.delete_edge(e.id), d, k, lattice, trials, sub)
+        achieved = body_bar_rank(multigraph.delete_edge(e.id), d, lattice, trials, sub)
         verdict = RigidityVerdict(
             achieved == target, achieved + offset, target + offset, STANDARD_COUNT, trials, sub
         )
         details.append({"edge": e.id, "rigid": verdict.rigid, "verdict": verdict.to_json()})
-        if not verdict.rigid:
-            all_rigid = False
-    return all_rigid, details
+    return all(x["rigid"] for x in details), details
 
 
 def decide_body_bar_global(
-    multigraph: GainGraph,
-    d: int,
-    k: int | None = None,
-    lattice: Lattice | None = None,
-    trials: int = 3,
-    seed: int = 0,
+    multigraph: GainGraph, d: int, lattice: Lattice | None = None, trials: int = 3, seed: int = 0
 ) -> GlobalVerdict:
     """Global rigidity of a generic periodic body-bar realisation: bar
     redundancy, plus gain rank d when k = d.  Never returns Unknown."""
-    k = _check_args(multigraph, BODY_BAR, d, k, lattice, trials)
-    redundant, details = is_bar_redundantly_rigid(multigraph, d, k, lattice, trials, seed)
+    k = _check_args(multigraph, BODY_BAR, d, lattice, trials)
+    redundant, details = is_bar_redundantly_rigid(multigraph, d, lattice, trials, seed)
+
+    def verdict(status: str, reason: str, **detail) -> GlobalVerdict:
+        return GlobalVerdict(status, reason, {**detail, "bar_deletions": details}, trials, seed)
+
     if not redundant:
-        return GlobalVerdict(
-            NOT_GLOBALLY_RIGID,
-            "not-bar-redundantly-rigid",
-            {"bar_deletions": details},
-            trials,
-            seed,
-        )
+        return verdict(NOT_GLOBALLY_RIGID, "not-bar-redundantly-rigid")
     g_rank = gain_rank(multigraph)  # the expansion has the same gain rank
     if k == d and g_rank != d:
-        return GlobalVerdict(
-            NOT_GLOBALLY_RIGID,
-            "gain-rank-below-k",
-            {"gain_rank": g_rank, "k": k, "bar_deletions": details},
-            trials,
-            seed,
-        )
-    return GlobalVerdict(
-        GLOBALLY_RIGID,
-        "bar-redundant-and-rank",
-        {"gain_rank": g_rank, "bar_deletions": details},
-        trials,
-        seed,
-    )
+        return verdict(NOT_GLOBALLY_RIGID, "gain-rank-below-k", gain_rank=g_rank, k=k)
+    return verdict(GLOBALLY_RIGID, "bar-redundant-and-rank", gain_rank=g_rank)
 
 
 class CountReport(Record):
     # basis and violating_subset are tuples of edge ids or None
     __slots__ = ("rigid", "target", "matroid_rank", "basis", "violating_subset")
-
-    def to_json(self) -> dict:
-        return {
-            "rigid": self.rigid,
-            "target": self.target,
-            "matroid_rank": self.matroid_rank,
-            "basis": list(self.basis) if self.basis is not None else None,
-            "violating_subset": (
-                list(self.violating_subset) if self.violating_subset is not None else None
-            ),
-        }
 
 
 class _CountMatroid:
@@ -281,16 +237,11 @@ class _CountMatroid:
         return ok
 
 
-def count_rank(
-    multigraph: GainGraph,
-    d: int,
-    k: int | None = None,
-    edge_cap: int = DEFAULT_EDGE_CAP,
-) -> CountReport:
+def count_rank(multigraph: GainGraph, d: int, edge_cap: int = DEFAULT_EDGE_CAP) -> CountReport:
     """Combinatorial rigidity of a generic body-bar realisation via the count
     matroid on the bars.  Exact but exponential; refuses more than `edge_cap`
     edges."""
-    k = _check_args(multigraph, BODY_BAR, d, k)
+    k = _check_args(multigraph, BODY_BAR, d)
     m = len(multigraph.edges)
     if m > edge_cap:
         raise ValueError(f"{m} edges exceed the enumeration cap of {edge_cap}")

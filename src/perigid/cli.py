@@ -39,30 +39,28 @@ class CliError(Exception):
     pass
 
 
-def _load_document(path: str):
+def _read_json(path: str):
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     # JSONDecodeError and UnicodeDecodeError are ValueErrors; too deep a
     # nesting raises RecursionError
     except (ValueError, RecursionError) as exc:
         raise CliError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def _load_document(path: str):
     try:
-        return parse_document(raw)
+        return parse_document(_read_json(path))  # CliError is no ValueError
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
 
 
 def _resolve_lattice(doc, args) -> Lattice | None:
     if args.lattice_file:
-        try:
-            with open(args.lattice_file) as fh:
-                raw = json.load(fh)
-        except (OSError, ValueError, RecursionError) as exc:
-            raise CliError(f"cannot read lattice file: {exc}") from exc
-        return parse_lattice_matrix(raw, doc.d, doc.k)
+        return parse_lattice_matrix(_read_json(args.lattice_file), doc.d, doc.k, args.lattice_file)
     return doc.lattice
 
 
@@ -79,8 +77,7 @@ def cmd_rigid(args) -> int:
     doc = _load_document(args.file)
     _require_mode(doc, BAR_JOINT)
     lattice = _resolve_lattice(doc, args)
-    verdict = is_rigid(doc.graph, doc.d, doc.k, lattice, args.trials, args.seed)
-    _emit(verdict.to_json())
+    _emit(is_rigid(doc.graph, doc.d, lattice, args.trials, args.seed).to_json())
     return EXIT_OK
 
 
@@ -88,9 +85,7 @@ def cmd_vrr(args) -> int:
     doc = _load_document(args.file)
     _require_mode(doc, BAR_JOINT)
     lattice = _resolve_lattice(doc, args)
-    ok, details = is_vertex_redundantly_rigid(
-        doc.graph, doc.d, doc.k, lattice, args.trials, args.seed
-    )
+    ok, details = is_vertex_redundantly_rigid(doc.graph, doc.d, lattice, args.trials, args.seed)
     _emit(
         {
             "vertex_redundantly_rigid": ok,
@@ -106,8 +101,7 @@ def cmd_global(args) -> int:
     doc = _load_document(args.file)
     _require_mode(doc, BAR_JOINT)
     lattice = _resolve_lattice(doc, args)
-    verdict = decide_global_rigidity(doc.graph, doc.d, doc.k, lattice, args.trials, args.seed)
-    _emit(verdict.to_json())
+    _emit(decide_global_rigidity(doc.graph, doc.d, lattice, args.trials, args.seed).to_json())
     return EXIT_OK
 
 
@@ -118,13 +112,10 @@ def cmd_bodybar(args) -> int:
         built = build_body_bar_gain_graph(doc.graph, doc.d)
         _emit(graph_to_document(built.graph, doc.d))
     elif args.action == "counts":
-        _emit(count_rank(doc.graph, doc.d, doc.k, args.edge_cap).to_json())
+        _emit(count_rank(doc.graph, doc.d, args.edge_cap).to_json())
     else:  # global
         lattice = _resolve_lattice(doc, args)
-        verdict = decide_body_bar_global(
-            doc.graph, doc.d, doc.k, lattice, args.trials, args.seed
-        )
-        _emit(verdict.to_json())
+        _emit(decide_body_bar_global(doc.graph, doc.d, lattice, args.trials, args.seed).to_json())
     return EXIT_OK
 
 

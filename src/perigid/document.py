@@ -28,6 +28,10 @@ class DocumentError(ValueError):
 _DOC_FIELDS = {"dim", "periodicity", "mode", "lattice", "vertices", "edges", "placement", "q"}
 _EDGE_FIELDS = {"id", "tail", "head", "gain"}
 
+# the interpreter's own limit on the digits of an int; Fraction builds 10**e
+# before anything else, which takes seconds for an exponent like 10**7
+MAX_EXPONENT = 4300
+
 
 def parse_rational(value: Any, where: str) -> Fraction:
     if isinstance(value, bool):
@@ -35,10 +39,13 @@ def parse_rational(value: Any, where: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        _, e, exponent = value.lower().partition("e")
         try:
-            return Fraction(value)
+            if not e or abs(int(exponent)) <= MAX_EXPONENT:
+                return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(f"{where}: bad rational {value!r}") from exc
+        raise DocumentError(f"{where}: exponent of {value!r} is beyond {MAX_EXPONENT} in magnitude")
     raise DocumentError(f"{where}: expected an integer or 'num/den' string")
 
 
@@ -157,8 +164,10 @@ def graph_to_document(graph: GainGraph, d: int) -> dict:
     }
 
 
-def _cover_vertex_name(v: str, shift) -> str:
-    return f"{v}|({','.join(str(s) for s in shift)})"
+def _dot_id(v: str, shift) -> str:
+    """The covering vertex `v|(shift)` as a quoted DOT identifier."""
+    name = f"{v}|({','.join(str(s) for s in shift)})"
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def covering_to_json(window: CoveringWindow) -> dict:
@@ -179,10 +188,8 @@ def covering_to_json(window: CoveringWindow) -> dict:
 def covering_to_dot(window: CoveringWindow) -> str:
     lines = ["graph covering {"]
     for v, s in window.vertices:
-        lines.append(f'  "{_cover_vertex_name(v, s)}";')
+        lines.append(f"  {_dot_id(v, s)};")
     for a, b in window.edges:
-        lines.append(
-            f'  "{_cover_vertex_name(a[0], a[1])}" -- "{_cover_vertex_name(b[0], b[1])}";'
-        )
+        lines.append(f"  {_dot_id(*a)} -- {_dot_id(*b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

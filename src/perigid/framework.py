@@ -97,18 +97,13 @@ def _measurements(framework: Framework, placement: Placement) -> list[Fraction]:
 
 
 def _check_args(
-    graph: GainGraph,
-    mode: str,
-    d: int,
-    k: int | None = None,
-    lattice: Lattice | None = None,
-    trials: int | None = None,
+    graph: GainGraph, mode: str, d: int, lattice: Lattice | None = None, trials: int | None = None
 ) -> int:
     """The argument rules of every public decision; returns graph.k.
 
-    The graph itself is valid by construction; what is left is that it is in
-    `mode` (a body-bar graph needs a body), that a declared k is graph.k, that
-    0 <= k <= d with d >= 1 and that a lattice is d x k.  A decision that
+    The graph itself is valid by construction, and fixes k; what is left is
+    that it is in `mode` (a body-bar graph needs a body), that 0 <= k <= d
+    with d >= 1 and that a lattice is d x k.  A decision that
     samples mod p, which is one given `trials`, also needs trials >= 1 and
     every gain entry of the whole graph below 2^60 in absolute value, so the
     bound does not depend on which subgraphs it goes on to rank.
@@ -119,8 +114,6 @@ def _check_args(
         raise ValueError(f"expected a {mode} gain graph, got {graph.mode}")
     if mode == BODY_BAR and not graph.vertices:
         raise ValueError("need at least one body")
-    if k is not None and k != graph.k:
-        raise ValueError("declared k does not match graph")
     if d < 1:
         raise ValueError("d must be >= 1")
     if graph.k > d:
@@ -134,6 +127,11 @@ def _check_args(
 
 def _trial_seed(seed: int, trial: int) -> int:
     return seed * 1_000_003 + trial
+
+
+def _sub_seed(seed: int, index: int) -> int:
+    # a distinct, stable seed for each vertex or bar deletion
+    return seed * 7_368_787 + index + 1
 
 
 def _lattice_mod_p(lattice: Lattice) -> list[list[int]]:
@@ -172,12 +170,7 @@ def _sampled_rank(graph, d, lattice, trials, seed, ncols, cap, rows_of) -> int:
 
 
 def generic_rank(
-    graph: GainGraph,
-    d: int,
-    k: int | None = None,
-    lattice: Lattice | None = None,
-    trials: int = 3,
-    seed: int = 0,
+    graph: GainGraph, d: int, lattice: Lattice | None = None, trials: int = 3, seed: int = 0
 ) -> int:
     """Rank of the rigidity matrix at a generic placement.
 
@@ -192,7 +185,7 @@ def generic_rank(
     So does a gain entry of absolute value 2^60 or more: below that, distinct
     gains stay distinct mod p.
     """
-    k = _check_args(graph, BAR_JOINT, d, k, lattice, trials)
+    k = _check_args(graph, BAR_JOINT, d, lattice, trials)
     p = MOD_P
     verts = graph.vertices
     col_of = {v: i * d for i, v in enumerate(verts)}

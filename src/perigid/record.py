@@ -4,8 +4,9 @@ A subclass lists its fields once, in `__slots__`, and trailing defaults in
 `_defaults`.  Construction takes the fields positionally or by keyword and
 then calls `__post_init__`, the validation hook; instances compare and hash
 as the tuple of their fields, print as `Name(field=value, ...)`, refuse
-assignment and deletion with AttributeError, and pickle and copy by calling
-the constructor again, so validation reruns.
+assignment and deletion with AttributeError, pickle and copy by calling
+the constructor again, so validation reruns, and serialise through
+`to_json` as a dict of their fields by name, in slot order.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ class Record:
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
+
+    def to_json(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

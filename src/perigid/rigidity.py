@@ -9,7 +9,7 @@ the standard count.
 
 from __future__ import annotations
 
-from .framework import Lattice, _check_args, generic_rank, max_generic_rank
+from .framework import Lattice, _check_args, _sub_seed, generic_rank, max_generic_rank
 from .gain_graph import BAR_JOINT, GainGraph, gain_rank
 from .record import Record
 
@@ -24,40 +24,16 @@ UNKNOWN = "Unknown"
 class RigidityVerdict(Record):
     __slots__ = ("rigid", "achieved_rank", "target_rank", "method", "trials", "seed")
 
-    def to_json(self) -> dict:
-        return {
-            "rigid": self.rigid,
-            "achieved_rank": self.achieved_rank,
-            "target_rank": self.target_rank,
-            "method": self.method,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
-
 
 class GlobalVerdict(Record):
     __slots__ = ("status", "reason", "detail", "trials", "seed")
 
-    def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "reason": self.reason,
-            "detail": self.detail,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
-
 
 def is_rigid(
-    graph: GainGraph,
-    d: int,
-    k: int | None = None,
-    lattice: Lattice | None = None,
-    trials: int = 3,
-    seed: int = 0,
+    graph: GainGraph, d: int, lattice: Lattice | None = None, trials: int = 3, seed: int = 0
 ) -> RigidityVerdict:
     # generic_rank checks the arguments
-    achieved = generic_rank(graph, d, k, lattice, trials, seed)
+    achieved = generic_rank(graph, d, lattice, trials, seed)
     k = graph.k
     n = len(graph.vertices)
     target = max_generic_rank(n, d, k)
@@ -66,45 +42,27 @@ def is_rigid(
 
 
 def is_vertex_redundantly_rigid(
-    graph: GainGraph,
-    d: int,
-    k: int | None = None,
-    lattice: Lattice | None = None,
-    trials: int = 3,
-    seed: int = 0,
+    graph: GainGraph, d: int, lattice: Lattice | None = None, trials: int = 3, seed: int = 0
 ) -> tuple[bool, list[dict]]:
     """True iff deleting any single vertex (orbit) leaves a rigid graph.
 
     Deleting down to the empty vertex set counts as rigid.  Returns the
     verdict and a per-vertex detail list.
     """
-    k = _check_args(graph, BAR_JOINT, d, k, lattice, trials)
+    _check_args(graph, BAR_JOINT, d, lattice, trials)
     details = []
-    all_rigid = True
     for i, v in enumerate(graph.vertices):
         reduced = graph.delete_vertex(v)
         if not reduced.vertices:
             details.append({"vertex": v, "rigid": True, "note": "empty graph, vacuously rigid"})
             continue
-        verdict = is_rigid(reduced, d, k, lattice, trials, _sub_seed(seed, i))
+        verdict = is_rigid(reduced, d, lattice, trials, _sub_seed(seed, i))
         details.append({"vertex": v, "rigid": verdict.rigid, "verdict": verdict.to_json()})
-        if not verdict.rigid:
-            all_rigid = False
-    return all_rigid, details
-
-
-def _sub_seed(seed: int, index: int) -> int:
-    # a distinct, stable seed for each vertex deletion
-    return seed * 7_368_787 + index + 1
+    return all(x["rigid"] for x in details), details
 
 
 def decide_global_rigidity(
-    graph: GainGraph,
-    d: int,
-    k: int | None = None,
-    lattice: Lattice | None = None,
-    trials: int = 3,
-    seed: int = 0,
+    graph: GainGraph, d: int, lattice: Lattice | None = None, trials: int = 3, seed: int = 0
 ) -> GlobalVerdict:
     """Three-way global rigidity decision.
 
@@ -114,48 +72,23 @@ def decide_global_rigidity(
     already ensured gain rank k, which is Theorem 2's rank-d condition at
     k = d); otherwise Unknown (the sufficient condition is not necessary).
     """
-    base = is_rigid(graph, d, k, lattice, trials, seed)  # checks the arguments
+    base = is_rigid(graph, d, lattice, trials, seed)  # checks the arguments
+
+    def verdict(status: str, reason: str, **detail) -> GlobalVerdict:
+        return GlobalVerdict(status, reason, {**detail, "rigidity": base.to_json()}, trials, seed)
+
     k = graph.k
     n = len(graph.vertices)
     if not base.rigid:
-        return GlobalVerdict(
-            NOT_GLOBALLY_RIGID, "not-rigid", {"rigidity": base.to_json()}, trials, seed
-        )
+        return verdict(NOT_GLOBALLY_RIGID, "not-rigid")
     g_rank = gain_rank(graph)
     if n >= 2 and g_rank < k:
-        return GlobalVerdict(
-            NOT_GLOBALLY_RIGID,
-            "gain-rank-below-k",
-            {"gain_rank": g_rank, "k": k, "rigidity": base.to_json()},
-            trials,
-            seed,
-        )
+        return verdict(NOT_GLOBALLY_RIGID, "gain-rank-below-k", gain_rank=g_rank, k=k)
     if n <= d - k + 1:
-        return GlobalVerdict(
-            GLOBALLY_RIGID,
-            "small-graph-corollary",
-            {"vertices": n, "bound": d - k + 1, "rigidity": base.to_json()},
-            trials,
-            seed,
-        )
-    vrr, details = is_vertex_redundantly_rigid(graph, d, k, lattice, trials, seed)
+        return verdict(GLOBALLY_RIGID, "small-graph-corollary", vertices=n, bound=d - k + 1)
+    vrr, details = is_vertex_redundantly_rigid(graph, d, lattice, trials, seed)
     if vrr:
-        return GlobalVerdict(
-            GLOBALLY_RIGID,
-            "thm-2-rigid-and-rank",
-            {"gain_rank": g_rank, "vertex_deletions": details, "rigidity": base.to_json()},
-            trials,
-            seed,
-        )
-    return GlobalVerdict(
-        UNKNOWN,
-        "inconclusive",
-        {
-            "gain_rank": g_rank,
-            "vertex_redundantly_rigid": vrr,
-            "vertex_deletions": details,
-            "rigidity": base.to_json(),
-        },
-        trials,
-        seed,
+        return verdict(GLOBALLY_RIGID, "thm-2-rigid-and-rank", gain_rank=g_rank, vertex_deletions=details)
+    return verdict(
+        UNKNOWN, "inconclusive", gain_rank=g_rank, vertex_redundantly_rigid=vrr, vertex_deletions=details
     )

@@ -14,6 +14,7 @@ from perigid.framework import (
     Framework,
     Lattice,
     _check_args,
+    _sub_seed,
     _trial_seed,
     generic_rank,
     identity_lattice,
@@ -23,7 +24,7 @@ from perigid.gain_graph import BAR_JOINT, BODY_BAR, GainEdge, GainGraph, GainVec
 from perigid.linalg import integer_rank
 from perigid.motion import FlexPath, PairWitness
 from perigid.record import Record
-from perigid.rigidity import _sub_seed, is_rigid
+from perigid.rigidity import is_rigid
 
 SAMPLE_MAX = 2**30  # placement/lattice coordinates drawn from [1, SAMPLE_MAX]
 
@@ -161,7 +162,7 @@ def random_generic_framework(
     seed: int = 0,
 ) -> Framework:
     """Seeded random framework; coordinates uniform integers in [1, 2^30]."""
-    _check_args(graph, BAR_JOINT, d, None, lattice)
+    _check_args(graph, BAR_JOINT, d, lattice)
     rng = random.Random(seed)
     if lattice is None:
         lattice = random_lattice(rng, d, graph.k)
@@ -282,7 +283,7 @@ def saturated_complete_rank(vertices, d, k, lattice, trials, seed, max_window=8)
     radii agree."""
     prev = None
     for m in range(1, max_window + 1):
-        r = generic_rank(saturated_complete_graph(vertices, k, m), d, k, lattice, trials, seed)
+        r = generic_rank(saturated_complete_graph(vertices, k, m), d, lattice, trials, seed)
         if r == prev:
             return r
         prev = r
@@ -323,10 +324,10 @@ def expansion_bar_redundancy(multigraph: GainGraph, d: int, lattice=None, trials
     k = multigraph.k
     built = build_body_bar_gain_graph(multigraph, d)
     if not multigraph.edges:
-        return is_rigid(built.graph, d, k, lattice, trials, seed).rigid, []
+        return is_rigid(built.graph, d, lattice, trials, seed).rigid, []
     details = []
     for i, e in enumerate(multigraph.edges):
         reduced = built.graph.delete_edge(built.bar_edges[e.id])
-        verdict = is_rigid(reduced, d, k, lattice, trials, _sub_seed(seed, i))
+        verdict = is_rigid(reduced, d, lattice, trials, _sub_seed(seed, i))
         details.append({"edge": e.id, "rigid": verdict.rigid, "verdict": verdict.to_json()})
     return all(x["rigid"] for x in details), details

@@ -55,7 +55,7 @@ def test_01_body_bar_count_matches_geometry():
         g = random_body_bar_multigraph(rng, d, k)
         built = build_body_bar_gain_graph(g, d)
         combinatorial = count_rank(g, d).rigid
-        geometric = is_rigid(built.graph, d, k, seed=rng.randint(0, 10**6)).rigid
+        geometric = is_rigid(built.graph, d, seed=rng.randint(0, 10**6)).rigid
         if combinatorial != geometric:
             mismatches.append((d, k, g))
         checked += 1
@@ -88,8 +88,8 @@ def test_03_third_parallel_edge_globally_rigid():
     verdict = decide_global_rigidity(g, 2)
     sub = [
         is_rigid(g, 2).rigid,
-        is_rigid(g.delete_vertex("a"), 2, 2).rigid,
-        is_rigid(g.delete_vertex("b"), 2, 2).rigid,
+        is_rigid(g.delete_vertex("a"), 2).rigid,
+        is_rigid(g.delete_vertex("b"), 2).rigid,
         gain_rank(g) == 2,
     ]
     ok = (

@@ -2,9 +2,12 @@
 no rank is ever taken: a one-vertex graph (every vertex deletion leaves the
 empty graph) and a body-bar graph with no bars (nothing to delete)."""
 
+import inspect
+
 import pytest
 
 from perigid.body_bar import (
+    body_bar_rank,
     build_body_bar_gain_graph,
     count_rank,
     decide_body_bar_global,
@@ -20,16 +23,19 @@ GRAPHS = {
     BODY_BAR: lambda k: gain_graph(k, ["b0", "b1"], [], mode=BODY_BAR),
 }
 
-# (decision, the mode it takes, its keyword parameters besides graph and d)
+SAMPLED = {"lattice", "trials", "seed"}
+
+# (decision, the mode it takes, its parameters besides graph and d)
 DECISIONS = [
-    (generic_rank, BAR_JOINT, {"k", "lattice", "trials"}),
-    (is_rigid, BAR_JOINT, {"k", "lattice", "trials"}),
-    (is_vertex_redundantly_rigid, BAR_JOINT, {"k", "lattice", "trials"}),
-    (decide_global_rigidity, BAR_JOINT, {"k", "lattice", "trials"}),
-    (random_generic_framework, BAR_JOINT, {"lattice"}),
-    (is_bar_redundantly_rigid, BODY_BAR, {"k", "lattice", "trials"}),
-    (decide_body_bar_global, BODY_BAR, {"k", "lattice", "trials"}),
-    (count_rank, BODY_BAR, {"k"}),
+    (generic_rank, BAR_JOINT, SAMPLED),
+    (is_rigid, BAR_JOINT, SAMPLED),
+    (is_vertex_redundantly_rigid, BAR_JOINT, SAMPLED),
+    (decide_global_rigidity, BAR_JOINT, SAMPLED),
+    (random_generic_framework, BAR_JOINT, {"lattice", "seed"}),
+    (body_bar_rank, BODY_BAR, SAMPLED),
+    (is_bar_redundantly_rigid, BODY_BAR, SAMPLED),
+    (decide_body_bar_global, BODY_BAR, SAMPLED),
+    (count_rank, BODY_BAR, {"edge_cap"}),
     (build_body_bar_gain_graph, BODY_BAR, set()),
 ]
 
@@ -37,7 +43,6 @@ DECISIONS = [
 CASES = {
     "trials-0": ("trials", False, 1, 2, {"trials": 0}),
     "wrong-mode": (None, True, 1, 2, {}),
-    "k-mismatch": ("k", False, 1, 2, {"k": 2}),
     "d-0": (None, False, 0, 0, {}),
     "k-above-d": (None, False, 3, 2, {}),
     "lattice-shape": ("lattice", False, 1, 2, {"lattice": identity_lattice(3, 1)}),
@@ -58,3 +63,12 @@ def test_bad_argument_rejected(decision, mode, case):
         mode = BODY_BAR if mode == BAR_JOINT else BAR_JOINT
     with pytest.raises(ValueError):
         decision(GRAPHS[mode](k), d, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "decision, params", [pytest.param(f, params, id=f.__name__) for f, _, params in DECISIONS]
+)
+def test_table_lists_every_parameter(decision, params):
+    # the graph's own k is no parameter: a no-op knob that comes back fails here
+    _graph, d, *rest = inspect.signature(decision).parameters
+    assert d == "d" and set(rest) == params

@@ -1,10 +1,13 @@
 import csv
 import json
+import re
+import time
+from fractions import Fraction
 
 import pytest
 
 from perigid.cli import EXIT_INVALID, EXIT_OK, main
-from perigid.document import parse_document
+from perigid.document import DocumentError, parse_document, parse_rational
 
 FIG2 = {
     "dim": 2,
@@ -211,6 +214,36 @@ class TestInvalidInput:
         assert code == EXIT_INVALID and out == ""
         assert err.startswith(f"error: {path}: not valid JSON: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("coordinate", ["1e10000000", "-1E-10000000", "1e4301"])
+    def test_exponent_beyond_int_limit(self, tmp_path, capsys, coordinate):
+        doc = json.loads(json.dumps(FIG2_WITH_PATH))
+        doc["placement"]["b"][0] = coordinate
+        start = time.perf_counter()
+        code, out, err = run(capsys, "rigid", write(tmp_path, doc))
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_INVALID and out == ""
+        where = f"{tmp_path / 'doc.json'}: placement.b"
+        assert err == f"error: {where}: exponent of {coordinate!r} is beyond 4300 in magnitude\n"
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot read {path}: "),
+            ("[[1, 0], [0", "{path}: not valid JSON: "),
+            ("[[1], [0]]", "{path}: expected a 2x2 matrix"),
+            ('[[1, 0], [0, "x"]]', "{path}[1][1]: bad rational 'x'"),
+            ("[[1, 2], [2, 4]]", "{path}: lattice columns are not linearly independent"),
+        ],
+        ids=["missing", "not-json", "shape", "entry", "dependent"],
+    )
+    def test_lattice_file_messages_name_the_file(self, tmp_path, capsys, content, message):
+        lat = tmp_path / "lat.json"
+        if content is not None:
+            lat.write_text(content)
+        code, out, err = run(capsys, "rigid", write(tmp_path, FIG2), "--lattice-file", str(lat))
+        assert code == EXIT_INVALID and out == ""
+        assert err.startswith("error: " + message.format(path=lat)) and "Traceback" not in err
+
     def test_covering_takes_no_lattice_file(self, tmp_path, capsys):
         lat = write(tmp_path, [[1, 0], [0, 1]], "lat.json")
         code, out, _ = run(capsys, "covering", write(tmp_path, FIG2), "--lattice-file", lat)
@@ -328,6 +361,26 @@ class TestCovering:
         assert out.startswith("graph covering {")
         assert '"a|(0,0)" -- "b|(0,0)";' in out
 
+    def test_dot_escapes_quotes_and_backslashes(self, tmp_path, capsys):
+        doc = {
+            "dim": 2,
+            "periodicity": 0,
+            "mode": "bar-joint",
+            "vertices": ['a"b', "c\\d"],
+            "edges": [{"tail": 'a"b', "head": "c\\d", "gain": []}],
+        }
+        code, out, _ = run(capsys, "covering", write(tmp_path, doc), "--format", "dot")
+        assert code == EXIT_OK
+        assert out.splitlines() == [
+            "graph covering {",
+            '  "a\\"b|()";',
+            '  "c\\\\d|()";',
+            '  "a\\"b|()" -- "c\\\\d|()";',
+            "}",
+        ]
+        quoted = r'"(?:[^"\\]|\\.)*"'  # a backslash escapes the next character
+        assert all(re.fullmatch(rf"  {quoted}( -- {quoted})?;", line) for line in out.splitlines()[1:-1])
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -352,6 +405,12 @@ class TestDocumentParsing:
 
         assert doc.placement["b"] == (Fraction(2, 5), Fraction(3, 7))
         assert doc.q["b"][1] == Fraction(-3, 7)
+
+    def test_exponent_within_int_limit_parses(self):
+        assert parse_rational("1e400", "x") == 10**400
+        assert parse_rational("-2.5E-4300", "x") == Fraction(-25, 10**4301)
+        with pytest.raises(DocumentError, match="beyond 4300"):
+            parse_rational("1e-4301", "x")
 
     def test_auto_edge_ids(self):
         doc = parse_document(FIG2)

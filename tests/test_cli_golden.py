@@ -1,4 +1,4 @@
-"""CLI stdout pinned byte for byte on four fixture documents.
+"""CLI stdout pinned byte for byte on ten fixture documents.
 
 `golden_cli_stdout.json` maps each invocation below to its stdout.  A change
 that keeps the mathematics keeps this test passing unchanged; after an
@@ -72,6 +72,65 @@ DOCUMENTS = {
         ],
         "lattice": [["3/2", -1], [0, "2/5"]],
     },
+    # one bar between two vertices at d=2, k=1: global stops at not-rigid
+    "NOT_RIGID": {
+        "dim": 2,
+        "periodicity": 1,
+        "mode": "bar-joint",
+        "vertices": ["a", "b"],
+        "edges": [{"tail": "a", "head": "b", "gain": [0]}],
+    },
+    # two vertices, gains (0) and (1) at d=2, k=1: rigid with |V| <= d-k+1
+    "SMALL": {
+        "dim": 2,
+        "periodicity": 1,
+        "mode": "bar-joint",
+        "vertices": ["a", "b"],
+        "edges": [
+            {"tail": "a", "head": "b", "gain": [0]},
+            {"tail": "a", "head": "b", "gain": [1]},
+        ],
+    },
+    # a triangle of doubled bars, gains (0) and (1): vertex-redundantly rigid
+    "TRIANGLE": {
+        "dim": 2,
+        "periodicity": 1,
+        "mode": "bar-joint",
+        "vertices": ["a", "b", "c"],
+        "edges": [
+            {"tail": u, "head": v, "gain": [g]}
+            for u, v in (("a", "b"), ("a", "c"), ("b", "c"))
+            for g in (0, 1)
+        ],
+    },
+    # K4 minus an edge at d=2, k=0: rigid, but deleting b or c leaves a path
+    "K4_MINUS": {
+        "dim": 2,
+        "periodicity": 0,
+        "mode": "bar-joint",
+        "vertices": ["a", "b", "c", "d"],
+        "edges": [
+            {"tail": u, "head": v, "gain": []}
+            for u, v in (("a", "b"), ("a", "c"), ("b", "c"), ("b", "d"), ("c", "d"))
+        ],
+    },
+    # one vertex: its deletion leaves the empty graph
+    "ONE_VERTEX": {
+        "dim": 2,
+        "periodicity": 1,
+        "mode": "bar-joint",
+        "vertices": ["a"],
+        "edges": [],
+    },
+    # three bodies, four bars b0-b1 and none to b2: not rigid, with a
+    # violating subset
+    "BODYBAR_FLEX": {
+        "dim": 2,
+        "periodicity": 0,
+        "mode": "body-bar",
+        "vertices": ["b0", "b1", "b2"],
+        "edges": [{"tail": "b0", "head": "b1", "gain": []}] * 4,
+    },
 }
 
 INVOCATIONS = [
@@ -87,6 +146,13 @@ INVOCATIONS = [
     ("bodybar", "counts", "BODYBAR"),
     ("bodybar", "build", "BODYBAR"),
     ("covering", "BODYBAR", "--window", "1"),
+    *[
+        ("global", doc, "--seed", seed)
+        for doc in ("NOT_RIGID", "SMALL", "TRIANGLE", "K4_MINUS")
+        for seed in ("0", "5")
+    ],
+    ("vrr", "ONE_VERTEX"),
+    ("bodybar", "counts", "BODYBAR_FLEX"),
 ]
 
 

@@ -178,7 +178,7 @@ class TestSmallGraphCheck:
     def test_single_orbit(self):
         g = gain_graph(2, ["a"], [])
         fw = Framework(g, identity_lattice(2, 2), {"a": (Fraction(0), Fraction(0))})
-        assert is_rigid(fw.graph, fw.d, fw.lattice.k, fw.lattice).rigid
+        assert is_rigid(fw.graph, fw.d, fw.lattice).rigid
 
     def test_k0_edge(self):
         g = gain_graph(0, ["a", "b"], [("a", "b", ())])
@@ -187,7 +187,7 @@ class TestSmallGraphCheck:
             identity_lattice(2, 0),
             {"a": (Fraction(0), Fraction(0)), "b": (Fraction(1), Fraction(0))},
         )
-        assert is_rigid(fw.graph, fw.d, fw.lattice.k, fw.lattice).rigid
+        assert is_rigid(fw.graph, fw.d, fw.lattice).rigid
 
     def test_flip_preserves_edges_numerically(self):
         # the motion from the flip certificate really keeps the bar lengths

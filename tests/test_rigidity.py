@@ -56,11 +56,11 @@ class TestIsRigid:
     def test_single_vertex_rigid_any_k(self):
         for d, k in [(2, 0), (2, 2), (3, 1)]:
             g = gain_graph(k, ["a"], [])
-            assert is_rigid(g, d, k).rigid
+            assert is_rigid(g, d).rigid
         # the empty vertex set is vacuously rigid, with target 0
         for d in (1, 2, 3):
             for k in range(d + 1):
-                v = is_rigid(gain_graph(k, [], []), d, k)
+                v = is_rigid(gain_graph(k, [], []), d)
                 assert v.rigid and v.target_rank == 0
 
     def test_small_graph_edge_is_rigid(self):
@@ -80,7 +80,7 @@ class TestIsRigid:
             ["a", "b"],
             [("a", "b", (0,)), ("a", "b", (1,)), ("a", "b", (2,)), ("a", "b", (-1,))],
         )
-        v = is_rigid(g, 3, 1)
+        v = is_rigid(g, 3)
         assert v.method == SATURATED_COMPARISON
         # comparison target equals what the saturated complete graph achieves
         assert v.target_rank >= v.achieved_rank
