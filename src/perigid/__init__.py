@@ -3,7 +3,6 @@ periodic bar-joint and body-bar frameworks, decided exactly from their
 quotient gain graphs."""
 
 from .body_bar import (
-    BodyBarGainGraph,
     CountReport,
     body_bar_rank,
     build_body_bar_gain_graph,

@@ -44,15 +44,14 @@ from .rigidity import (
 DEFAULT_EDGE_CAP = 20
 
 
-class BodyBarGainGraph(Record):
-    # graph: the bar-joint GainGraph; bodies: body vertex -> joint names;
-    # bar_edges: multigraph edge id -> bar edge id in graph
-    __slots__ = ("graph", "bodies", "bar_edges")
-
-
-def build_body_bar_gain_graph(multigraph: GainGraph, d: int) -> BodyBarGainGraph:
+def build_body_bar_gain_graph(multigraph: GainGraph, d: int) -> GainGraph:
     """Expand a body-bar multigraph into its bar-joint gain graph (the
-    `bodybar build` export; the decisions use `body_bar_rank`)."""
+    `bodybar build` export; the decisions use `body_bar_rank`).
+
+    Body v becomes the joints `v#c1` .. `v#c<d+1>` and one attachment joint
+    per bar end, `v#a<id>` (`v#a<id>-` and `v#a<id>+` for a loop), joined by
+    identity-gain edges `B:<joint>|<joint>`.  Bar <id> becomes the edge
+    `bar:<id>` with the bar's gain."""
     k = _check_args(multigraph, BODY_BAR, d)
     zero = (0,) * k
     bodies: dict[str, tuple[str, ...]] = {}
@@ -79,15 +78,11 @@ def build_body_bar_gain_graph(multigraph: GainGraph, d: int) -> BodyBarGainGraph
     for v in multigraph.vertices:
         for a, b in combinations(bodies[v], 2):
             edges.append(GainEdge(f"B:{a}|{b}", a, b, zero))
-    bar_edges: dict[str, str] = {}
     for e in multigraph.edges:
-        bar_id = f"bar:{e.id}"
-        edges.append(GainEdge(bar_id, attachment[(e.id, "-")], attachment[(e.id, "+")], e.gain))
-        bar_edges[e.id] = bar_id
+        edges.append(GainEdge(f"bar:{e.id}", attachment[(e.id, "-")], attachment[(e.id, "+")], e.gain))
 
     vertices = tuple(j for v in multigraph.vertices for j in bodies[v])
-    graph = GainGraph(k, vertices, tuple(edges), BAR_JOINT)
-    return BodyBarGainGraph(graph, bodies, bar_edges)
+    return GainGraph(k, vertices, tuple(edges), BAR_JOINT)
 
 
 def body_bar_target(n_bodies: int, d: int, k: int) -> int:
@@ -187,89 +182,57 @@ class CountReport(Record):
     __slots__ = ("rigid", "target", "matroid_rank", "basis", "violating_subset")
 
 
-class _CountMatroid:
-    """Independence oracle for the bound |F| <= C(d+1,2)|V(F)| - d - C(d-k(F),2)."""
-
-    def __init__(self, multigraph: GainGraph, d: int):
-        self.graph = multigraph
-        self.d = d
-        self.edges = list(multigraph.edges)
-        vidx = {v: i for i, v in enumerate(multigraph.vertices)}
-        self.vertex_masks = [
-            (1 << vidx[e.tail]) | (1 << vidx[e.head]) for e in self.edges
-        ]
-        self._bound: dict[int, int] = {}
-        self._ok: dict[int, bool] = {0: True}
-
-    def _edge_ids(self, mask: int) -> list[str]:
-        return [e.id for i, e in enumerate(self.edges) if mask >> i & 1]
-
-    def bound(self, mask: int) -> int:
-        b = self._bound.get(mask)
-        if b is None:
-            vmask = 0
-            for i, vm in enumerate(self.vertex_masks):
-                if mask >> i & 1:
-                    vmask |= vm
-            kf = gain_rank(self.graph, self._edge_ids(mask))
-            b = comb(self.d + 1, 2) * vmask.bit_count() - self.d - comb(self.d - kf, 2)
-            self._bound[mask] = b
-        return b
-
-    def violates(self, mask: int) -> bool:
-        return mask != 0 and mask.bit_count() > self.bound(mask)
-
-    def independent(self, mask: int) -> bool:
-        ok = self._ok.get(mask)
-        if ok is None:
-            if self.violates(mask):
-                ok = False
-            else:
-                ok = True
-                rest = mask
-                while rest:
-                    bit = rest & -rest
-                    if not self.independent(mask ^ bit):
-                        ok = False
-                        break
-                    rest ^= bit
-            self._ok[mask] = ok
-        return ok
-
-
 def count_rank(multigraph: GainGraph, d: int, edge_cap: int = DEFAULT_EDGE_CAP) -> CountReport:
     """Combinatorial rigidity of a generic body-bar realisation via the count
-    matroid on the bars.  Exact but exponential; refuses more than `edge_cap`
-    edges."""
+    matroid on the bars: F is independent when no nonempty F' in F has
+    excess(F') = |F'| - (C(d+1,2)|V(F')| - d - C(d-k(F'),2)) above 0.
+
+    The basis is taken greedily in bar order, and bar i joins it when no
+    subset S of the basis so far has excess(S + i) > 0.  That basis is
+    Gale-minimal, so when it reaches the target it is the numerically
+    smallest independent bar mask of that size.  Only the violating subset,
+    reported when the bars fall short, scans every mask: largest excess,
+    then fewest bars, then smallest mask.  Exact but exponential; refuses
+    more than `edge_cap` edges."""
     k = _check_args(multigraph, BODY_BAR, d)
-    m = len(multigraph.edges)
+    edges = multigraph.edges
+    m = len(edges)
     if m > edge_cap:
         raise ValueError(f"{m} edges exceed the enumeration cap of {edge_cap}")
     target = body_bar_target(len(multigraph.vertices), d, k)
-    matroid = _CountMatroid(multigraph, d)
+    vidx = {v: i for i, v in enumerate(multigraph.vertices)}
+    ends = [(1 << vidx[e.tail]) | (1 << vidx[e.head]) for e in edges]
+    s = comb(d + 1, 2)
+    memo: dict[int, int] = {}
 
-    # exhaustive search; any independent set satisfies |F| <= b(F) <= target,
-    # so the scan can stop as soon as the target size is reached
-    rank = 0
-    best_mask = 0
-    for mask in range(1 << m):
-        if mask.bit_count() > rank and matroid.independent(mask):
-            rank = mask.bit_count()
-            best_mask = mask
-            if rank == target:
+    def ids(mask: int) -> list[str]:
+        return [e.id for i, e in enumerate(edges) if mask >> i & 1]
+
+    def excess(mask: int) -> int:
+        x = memo.get(mask)
+        if x is None:
+            vmask = 0
+            for i, vm in enumerate(ends):
+                if mask >> i & 1:
+                    vmask |= vm
+            kf = gain_rank(multigraph, ids(mask))
+            x = memo[mask] = mask.bit_count() - (s * vmask.bit_count() - d - comb(d - kf, 2))
+        return x
+
+    basis = 0
+    for i in range(m):
+        if basis.bit_count() == target:
+            break
+        bit = 1 << i
+        sub = basis
+        while excess(sub | bit) <= 0:
+            if not sub:
+                basis |= bit
                 break
-    rigid = rank == target
-
-    violating = None
-    if not rigid:
-        best = None
-        for mask in range(1, 1 << m):
-            if matroid.violates(mask):
-                excess = mask.bit_count() - matroid.bound(mask)
-                key = (-excess, mask.bit_count(), mask)
-                if best is None or key < best[0]:
-                    best = (key, mask)
-        if best is not None:
-            violating = tuple(matroid._edge_ids(best[1]))
-    basis = tuple(matroid._edge_ids(best_mask)) if rigid else None
-    return CountReport(rigid, target, rank, basis, violating)
+            sub = (sub - 1) & basis
+    rank = basis.bit_count()
+    if rank == target:
+        return CountReport(True, target, rank, tuple(ids(basis)), None)
+    violating = (mask for mask in range(1, 1 << m) if excess(mask) > 0)
+    worst = min(violating, key=lambda mask: (-excess(mask), mask.bit_count(), mask), default=0)
+    return CountReport(False, target, rank, None, tuple(ids(worst)) if worst else None)

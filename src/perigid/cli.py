@@ -109,8 +109,7 @@ def cmd_bodybar(args) -> int:
     doc = _load_document(args.file)
     _require_mode(doc, BODY_BAR)
     if args.action == "build":
-        built = build_body_bar_gain_graph(doc.graph, doc.d)
-        _emit(graph_to_document(built.graph, doc.d))
+        _emit(graph_to_document(build_body_bar_gain_graph(doc.graph, doc.d), doc.d))
     elif args.action == "counts":
         _emit(count_rank(doc.graph, doc.d, args.edge_cap).to_json())
     else:  # global

@@ -89,6 +89,4 @@ def decide_global_rigidity(
     vrr, details = is_vertex_redundantly_rigid(graph, d, lattice, trials, seed)
     if vrr:
         return verdict(GLOBALLY_RIGID, "thm-2-rigid-and-rank", gain_rank=g_rank, vertex_deletions=details)
-    return verdict(
-        UNKNOWN, "inconclusive", gain_rank=g_rank, vertex_redundantly_rigid=vrr, vertex_deletions=details
-    )
+    return verdict(UNKNOWN, "inconclusive", gain_rank=g_rank, vertex_deletions=details)

@@ -1,15 +1,15 @@
 """Shared builders for the test suite, and the oracles the library's fast
 paths are checked against: the exact Fraction rigidity matrix of a seeded
-framework, with its pinned form, and the Fraction monotonicity witness of a
-flex path."""
+framework, with its pinned form, the Fraction monotonicity witness of a
+flex path, and the enumeration of the body-bar count matroid."""
 
 import random
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import comb, lcm
 from typing import Iterable, Sequence
 
-from perigid.body_bar import build_body_bar_gain_graph
+from perigid.body_bar import DEFAULT_EDGE_CAP, CountReport, body_bar_target, build_body_bar_gain_graph
 from perigid.framework import (
     Framework,
     Lattice,
@@ -20,7 +20,7 @@ from perigid.framework import (
     identity_lattice,
     max_generic_rank,
 )
-from perigid.gain_graph import BAR_JOINT, BODY_BAR, GainEdge, GainGraph, GainVector, gain_graph
+from perigid.gain_graph import BAR_JOINT, BODY_BAR, GainEdge, GainGraph, GainVector, gain_graph, gain_rank
 from perigid.linalg import integer_rank
 from perigid.motion import FlexPath, PairWitness
 from perigid.record import Record
@@ -324,10 +324,99 @@ def expansion_bar_redundancy(multigraph: GainGraph, d: int, lattice=None, trials
     k = multigraph.k
     built = build_body_bar_gain_graph(multigraph, d)
     if not multigraph.edges:
-        return is_rigid(built.graph, d, lattice, trials, seed).rigid, []
+        return is_rigid(built, d, lattice, trials, seed).rigid, []
     details = []
     for i, e in enumerate(multigraph.edges):
-        reduced = built.graph.delete_edge(built.bar_edges[e.id])
+        reduced = built.delete_edge(f"bar:{e.id}")
         verdict = is_rigid(reduced, d, lattice, trials, _sub_seed(seed, i))
         details.append({"edge": e.id, "rigid": verdict.rigid, "verdict": verdict.to_json()})
     return all(x["rigid"] for x in details), details
+
+
+class CountMatroid:
+    """Independence oracle for the bound |F| <= C(d+1,2)|V(F)| - d - C(d-k(F),2)."""
+
+    def __init__(self, multigraph: GainGraph, d: int):
+        self.graph = multigraph
+        self.d = d
+        self.edges = list(multigraph.edges)
+        vidx = {v: i for i, v in enumerate(multigraph.vertices)}
+        self.vertex_masks = [
+            (1 << vidx[e.tail]) | (1 << vidx[e.head]) for e in self.edges
+        ]
+        self._bound: dict[int, int] = {}
+        self._ok: dict[int, bool] = {0: True}
+
+    def _edge_ids(self, mask: int) -> list[str]:
+        return [e.id for i, e in enumerate(self.edges) if mask >> i & 1]
+
+    def bound(self, mask: int) -> int:
+        b = self._bound.get(mask)
+        if b is None:
+            vmask = 0
+            for i, vm in enumerate(self.vertex_masks):
+                if mask >> i & 1:
+                    vmask |= vm
+            kf = gain_rank(self.graph, self._edge_ids(mask))
+            b = comb(self.d + 1, 2) * vmask.bit_count() - self.d - comb(self.d - kf, 2)
+            self._bound[mask] = b
+        return b
+
+    def violates(self, mask: int) -> bool:
+        return mask != 0 and mask.bit_count() > self.bound(mask)
+
+    def independent(self, mask: int) -> bool:
+        ok = self._ok.get(mask)
+        if ok is None:
+            if self.violates(mask):
+                ok = False
+            else:
+                ok = True
+                rest = mask
+                while rest:
+                    bit = rest & -rest
+                    if not self.independent(mask ^ bit):
+                        ok = False
+                        break
+                    rest ^= bit
+            self._ok[mask] = ok
+        return ok
+
+
+def enumerated_count_rank(multigraph: GainGraph, d: int, edge_cap: int = DEFAULT_EDGE_CAP) -> CountReport:
+    """Oracle for `count_rank`: the independence of every bar mask by
+    recursion over its subsets, the first independent mask of each larger
+    size in numeric order, and a scan of every mask for the violating
+    subset."""
+    k = _check_args(multigraph, BODY_BAR, d)
+    m = len(multigraph.edges)
+    if m > edge_cap:
+        raise ValueError(f"{m} edges exceed the enumeration cap of {edge_cap}")
+    target = body_bar_target(len(multigraph.vertices), d, k)
+    matroid = CountMatroid(multigraph, d)
+
+    # exhaustive search; any independent set satisfies |F| <= b(F) <= target,
+    # so the scan can stop as soon as the target size is reached
+    rank = 0
+    best_mask = 0
+    for mask in range(1 << m):
+        if mask.bit_count() > rank and matroid.independent(mask):
+            rank = mask.bit_count()
+            best_mask = mask
+            if rank == target:
+                break
+    rigid = rank == target
+
+    violating = None
+    if not rigid:
+        best = None
+        for mask in range(1, 1 << m):
+            if matroid.violates(mask):
+                excess = mask.bit_count() - matroid.bound(mask)
+                key = (-excess, mask.bit_count(), mask)
+                if best is None or key < best[0]:
+                    best = (key, mask)
+        if best is not None:
+            violating = tuple(matroid._edge_ids(best[1]))
+    basis = tuple(matroid._edge_ids(best_mask)) if rigid else None
+    return CountReport(rigid, target, rank, basis, violating)

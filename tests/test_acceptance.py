@@ -55,7 +55,7 @@ def test_01_body_bar_count_matches_geometry():
         g = random_body_bar_multigraph(rng, d, k)
         built = build_body_bar_gain_graph(g, d)
         combinatorial = count_rank(g, d).rigid
-        geometric = is_rigid(built.graph, d, seed=rng.randint(0, 10**6)).rigid
+        geometric = is_rigid(built, d, seed=rng.randint(0, 10**6)).rigid
         if combinatorial != geometric:
             mismatches.append((d, k, g))
         checked += 1

@@ -15,7 +15,13 @@ from perigid.body_bar import (
 from perigid.framework import identity_lattice
 from perigid.gain_graph import BODY_BAR, GainEdge, GainGraph, gain_graph, gain_rank, reverse_edge, switch
 from perigid.rigidity import GLOBALLY_RIGID, NOT_GLOBALLY_RIGID, is_rigid
-from support import expansion_bar_redundancy, random_body_bar_multigraph, random_rational_lattice
+from support import (
+    CountMatroid,
+    enumerated_count_rank,
+    expansion_bar_redundancy,
+    random_body_bar_multigraph,
+    random_rational_lattice,
+)
 
 
 def one_body(loops, k=2):
@@ -29,39 +35,41 @@ def two_bodies(gains, k=0):
 class TestBuild:
     def test_single_body_no_bars(self):
         built = build_body_bar_gain_graph(one_body([]), 2)
-        assert len(built.graph.vertices) == 3  # d+1 core joints
-        assert len(built.graph.edges) == comb(3, 2)
-        assert all(e.gain == (0, 0) for e in built.graph.edges)
+        assert built.vertices == ("b0#c1", "b0#c2", "b0#c3")  # d+1 core joints
+        assert len(built.edges) == comb(3, 2)
+        assert all(e.gain == (0, 0) for e in built.edges)
 
     def test_loop_gets_two_attachments(self):
         built = build_body_bar_gain_graph(one_body([(1, 0)]), 2)
         # 3 cores + 2 attachments, complete body graph + 1 bar
-        assert len(built.graph.vertices) == 5
-        assert len(built.graph.edges) == comb(5, 2) + 1
-        bar = built.graph.edge(built.bar_edges["e0"])
+        assert len(built.vertices) == 5
+        assert len(built.edges) == comb(5, 2) + 1
+        bar = built.edge("bar:e0")
         assert bar.gain == (1, 0)
-        assert bar.tail != bar.head  # lifted loop is a genuine edge
+        assert (bar.tail, bar.head) == ("b0#ae0-", "b0#ae0+")  # lifted loop is a genuine edge
 
     def test_two_bodies_one_bar(self):
         g = two_bodies([()])
         built = build_body_bar_gain_graph(g, 2)
-        assert len(built.graph.vertices) == 2 * (3 + 1)
-        assert len(built.graph.edges) == 2 * comb(4, 2) + 1
-        assert set(built.bodies) == {"b0", "b1"}
-        assert len(built.bodies["b0"]) == 4
+        assert len(built.vertices) == 2 * (3 + 1)
+        assert len(built.edges) == 2 * comb(4, 2) + 1
+        # each joint is named after its body
+        bodies = {j.split("#")[0] for j in built.vertices}
+        assert bodies == {"b0", "b1"}
+        assert sum(j.startswith("b0#") for j in built.vertices) == 4
 
     def test_result_is_valid_bar_joint(self):
         rng = random.Random(2)
         for _ in range(10):
             g = random_body_bar_multigraph(rng, 2, 1)
             built = build_body_bar_gain_graph(g, 2)
-            assert built.graph.mode == "bar-joint"
-            assert len(built.bar_edges) == len(g.edges)
+            assert built.mode == "bar-joint"
+            assert [e.id for e in built.edges if e.id.startswith("bar:")] == [f"bar:{e.id}" for e in g.edges]
 
     def test_gain_rank_preserved(self):
         g = one_body([(1, 0), (0, 2)])
         built = build_body_bar_gain_graph(g, 3)
-        assert gain_rank(built.graph) == gain_rank(g) == 2
+        assert gain_rank(built) == gain_rank(g) == 2
 
     def test_rejects_bar_joint_mode(self):
         g = gain_graph(0, ["a", "b"], [("a", "b", ())])
@@ -126,6 +134,19 @@ class TestCountRank:
         assert rep.matroid_rank == 3
         assert rep.violating_subset == ("e0", "e1", "e2", "e3")
 
+    def test_violating_subset_ties_go_to_smallest_mask(self):
+        # two loops on each body: each pair has excess 1 and two bars, and
+        # the pair with the smaller bar mask is reported
+        g = gain_graph(
+            1,
+            ["b0", "b1"],
+            [("b1", "b1", (1,)), ("b1", "b1", (3,)), ("b0", "b0", (1,)), ("b0", "b0", (2,))],
+            mode=BODY_BAR,
+        )
+        rep = count_rank(g, 2)
+        assert not rep.rigid and rep.matroid_rank == 2
+        assert rep.violating_subset == ("e0", "e1")
+
     def test_loop_pair_full_lattice(self):
         rep = count_rank(one_body([(1, 0), (0, 1)]), 2)
         # target C(3,2) - 2 - 0 = 1, so a single loop already suffices
@@ -144,14 +165,14 @@ class TestCountRank:
             g = random_body_bar_multigraph(rng, d, k)
             built = build_body_bar_gain_graph(g, d)
             combinatorial = count_rank(g, d).rigid
-            geometric = is_rigid(built.graph, d, seed=rng.randint(0, 999)).rigid
+            geometric = is_rigid(built, d, seed=rng.randint(0, 999)).rigid
             assert combinatorial == geometric
 
     def test_independence_is_hereditary(self):
-        from perigid.body_bar import _CountMatroid
-
+        # checks the oracle's independence, which the property below holds
+        # `count_rank` to
         g = two_bodies([(), (), (), ()])
-        matroid = _CountMatroid(g, 2)
+        matroid = CountMatroid(g, 2)
         for mask in range(1, 1 << 4):
             if matroid.independent(mask):
                 rest = mask
@@ -159,6 +180,48 @@ class TestCountRank:
                     bit = rest & -rest
                     assert matroid.independent(mask ^ bit)
                     rest ^= bit
+
+
+@st.composite
+def count_cases(draw):
+    """(d, multigraph) with 1-3 bodies and at most 10 bars, about a third of
+    them copies of an earlier bar (equal-gain parallels, or repeated loops);
+    loops get a nonzero gain."""
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(0, d))
+    bodies = [f"b{i}" for i in range(draw(st.integers(1, 3)))]
+    edges = []
+    for i in range(draw(st.integers(0, 10))):
+        if edges and draw(st.integers(0, 2)) == 0:
+            e = draw(st.sampled_from(edges))
+            u, v, gain = e.tail, e.head, e.gain
+        else:
+            u = draw(st.sampled_from(bodies))
+            v = draw(st.sampled_from(bodies))
+            gain = tuple(draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k)))
+        if u != v or any(gain):
+            edges.append(GainEdge(f"e{i}", u, v, gain))
+    return d, GainGraph(k, tuple(bodies), tuple(edges), BODY_BAR)
+
+
+@settings(deadline=None)
+@given(count_cases())
+def test_count_rank_matches_enumeration(case):
+    d, g = case
+    got = count_rank(g, d)
+    want = enumerated_count_rank(g, d)
+    assert (got.rigid, got.target, got.matroid_rank) == (want.rigid, want.target, want.matroid_rank)
+    assert got.basis == want.basis
+    assert got.violating_subset == want.violating_subset
+    if got.basis is not None:
+        # no nonempty subset of the basis breaks the count
+        matroid = CountMatroid(g, d)
+        index = {e.id: i for i, e in enumerate(g.edges)}
+        basis = sum(1 << index[e] for e in got.basis)
+        sub = basis
+        while sub:
+            assert not matroid.violates(sub), sub
+            sub = (sub - 1) & basis
 
 
 class TestBarRedundancy:
@@ -230,7 +293,7 @@ class TestScrewMatrix:
     def test_gain_bound_leaves_exact_paths(self):
         g = two_bodies([(2**60,)], k=1)
         assert count_rank(g, 2).matroid_rank == 1
-        assert build_body_bar_gain_graph(g, 2).graph.edge("bar:e0").gain == (2**60,)
+        assert build_body_bar_gain_graph(g, 2).edge("bar:e0").gain == (2**60,)
 
 
 @st.composite

@@ -1,4 +1,4 @@
-"""CLI stdout pinned byte for byte on ten fixture documents.
+"""CLI stdout pinned byte for byte on twelve fixture documents.
 
 `golden_cli_stdout.json` maps each invocation below to its stdout.  A change
 that keeps the mathematics keeps this test passing unchanged; after an
@@ -131,6 +131,26 @@ DOCUMENTS = {
         "vertices": ["b0", "b1", "b2"],
         "edges": [{"tail": "b0", "head": "b1", "gain": []}] * 4,
     },
+    # d=2, k=0: four bars b0-b1, then three b1-b2; the basis skips e3, so
+    # it pins the order in which `count_rank` takes bars
+    "BODYBAR_CHAIN": {
+        "dim": 2,
+        "periodicity": 0,
+        "mode": "body-bar",
+        "vertices": ["b0", "b1", "b2"],
+        "edges": [{"tail": "b0", "head": "b1", "gain": []}] * 4
+        + [{"tail": "b1", "head": "b2", "gain": []}] * 3,
+    },
+    # d=3, k=1: loops on b0 of gain 1, 2 and 3, then seven b0-b1 bars with
+    # gains 0,1,2,0,1,2,0; the basis skips the third loop, e2
+    "BODYBAR_LOOPS_D3": {
+        "dim": 3,
+        "periodicity": 1,
+        "mode": "body-bar",
+        "vertices": ["b0", "b1"],
+        "edges": [{"tail": "b0", "head": "b0", "gain": [g]} for g in (1, 2, 3)]
+        + [{"tail": "b0", "head": "b1", "gain": [g]} for g in (0, 1, 2, 0, 1, 2, 0)],
+    },
 }
 
 INVOCATIONS = [
@@ -153,6 +173,8 @@ INVOCATIONS = [
     ],
     ("vrr", "ONE_VERTEX"),
     ("bodybar", "counts", "BODYBAR_FLEX"),
+    ("bodybar", "counts", "BODYBAR_CHAIN"),
+    ("bodybar", "counts", "BODYBAR_LOOPS_D3"),
 ]
 
 

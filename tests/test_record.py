@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perigid.body_bar import BodyBarGainGraph, CountReport, build_body_bar_gain_graph, count_rank
+from perigid.body_bar import CountReport, count_rank
 from perigid.document import Document, parse_document
 from perigid.framework import Framework, Lattice, identity_lattice
 from perigid.gain_graph import (
@@ -56,7 +56,6 @@ def _examples() -> dict:
         PinSpec: PinSpec.default(graph, 2, 1),
         RigidityVerdict: is_rigid(graph, 2),
         GlobalVerdict: decide_global_rigidity(graph, 2),
-        BodyBarGainGraph: build_body_bar_gain_graph(multigraph, 2),
         CountReport: count_rank(multigraph, 2),
         FlexPath: path,
         PairWitness: pair_witness(path, "a", "b", (1, 0)),
@@ -85,8 +84,8 @@ TWINS = {cls: dataclasses.make_dataclass(cls.__name__, cls.__slots__, frozen=Tru
 
 
 def test_every_value_type_is_covered():
-    # the library's 13 value types, and PinSpec, which the tests keep
-    assert len(TYPES) == 14
+    # the library's 12 value types, and PinSpec, which the tests keep
+    assert len(TYPES) == 13
     library = {c for c in Record.__subclasses__() if c.__module__.startswith("perigid.")}
     assert set(TYPES) == library | {PinSpec}
 
@@ -193,9 +192,10 @@ class TestValidation:
         with pytest.raises(InvalidGainGraphError):
             copy.deepcopy(bad)
 
-    def test_body_bar_gain_graph_is_unhashable(self):
+    def test_global_verdict_is_unhashable(self):
+        # its detail is a dict
         with pytest.raises(TypeError):
-            hash(EXAMPLES[BodyBarGainGraph])
+            hash(EXAMPLES[GlobalVerdict])
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
