@@ -90,19 +90,16 @@ def body_bar_target(n_bodies: int, d: int, k: int) -> int:
     return comb(d + 1, 2) * n_bodies - d - comb(d - k, 2)
 
 
-def body_bar_rank(
-    multigraph: GainGraph, d: int, lattice: Lattice | None = None, trials: int = 3, seed: int = 0
-) -> int:
+def body_bar_rank(multigraph: GainGraph, d: int, lattice: Lattice | None = None, *, seed: int = 0) -> int:
     """Generic rank of the body-bar rigidity matrix in screw coordinates.
 
-    Each trial draws both attachment points of every bar (and the lattice
-    columns when no `lattice` is given) from GF(p), p = 2^61 - 1, through the
-    sampling loop of `framework.generic_rank`, whose exactness contract it
-    shares: the result never over-reports, stops early at min(#bars,
-    `body_bar_target`), and gain entries of absolute value 2^60 or more
-    raise ValueError.
+    One sample draws both attachment points of every bar (and the lattice
+    columns when no `lattice` is given) from GF(p), p = 2^61 - 1, as
+    `framework.generic_rank` does, and shares its exactness contract: the
+    result never over-reports, and gain entries of absolute value 2^60 or
+    more raise ValueError.
     """
-    k = _check_args(multigraph, BODY_BAR, d, lattice, trials)
+    _check_args(multigraph, BODY_BAR, d, lattice, sampled=True)
     p = MOD_P
     s = comb(d + 1, 2)
     pairs = list(combinations(range(d), 2))
@@ -124,12 +121,11 @@ def body_bar_rank(
             rows.append([x % p for x in row])
         return rows
 
-    cap = min(len(multigraph.edges), body_bar_target(len(multigraph.vertices), d, k))
-    return _sampled_rank(multigraph, d, lattice, trials, seed, ncols, cap, rows_of)
+    return _sampled_rank(multigraph, d, lattice, seed, ncols, rows_of)
 
 
 def is_bar_redundantly_rigid(
-    multigraph: GainGraph, d: int, lattice: Lattice | None = None, trials: int = 3, seed: int = 0
+    multigraph: GainGraph, d: int, lattice: Lattice | None = None, *, seed: int = 0
 ) -> tuple[bool, list[dict]]:
     """True iff removing any single bar (attachments retained) leaves a rigid
     body-bar framework.  Returns the verdict plus per-bar detail.  With no
@@ -141,33 +137,31 @@ def is_bar_redundantly_rigid(
     (`build_body_bar_gain_graph`), which exceed the screw rank and target by
     the ranks of the rigid body clusters, C(d+1,2)|B| + 2d|E| in all.
     """
-    k = _check_args(multigraph, BODY_BAR, d, lattice, trials)
+    k = _check_args(multigraph, BODY_BAR, d, lattice, sampled=True)
     n = len(multigraph.vertices)
     target = body_bar_target(n, d, k)
     if not multigraph.edges:
-        return body_bar_rank(multigraph, d, lattice, trials, seed) == target, []
+        return body_bar_rank(multigraph, d, lattice, seed=seed) == target, []
     offset = comb(d + 1, 2) * n + 2 * d * len(multigraph.edges)
     details = []
     for i, e in enumerate(multigraph.edges):
         sub = _sub_seed(seed, i)
-        achieved = body_bar_rank(multigraph.delete_edge(e.id), d, lattice, trials, sub)
-        verdict = RigidityVerdict(
-            achieved == target, achieved + offset, target + offset, STANDARD_COUNT, trials, sub
-        )
+        achieved = body_bar_rank(multigraph.delete_edge(e.id), d, lattice, seed=sub)
+        verdict = RigidityVerdict(achieved == target, achieved + offset, target + offset, STANDARD_COUNT, sub)
         details.append({"edge": e.id, "rigid": verdict.rigid, "verdict": verdict.to_json()})
     return all(x["rigid"] for x in details), details
 
 
 def decide_body_bar_global(
-    multigraph: GainGraph, d: int, lattice: Lattice | None = None, trials: int = 3, seed: int = 0
+    multigraph: GainGraph, d: int, lattice: Lattice | None = None, *, seed: int = 0
 ) -> GlobalVerdict:
     """Global rigidity of a generic periodic body-bar realisation: bar
     redundancy, plus gain rank d when k = d.  Never returns Unknown."""
-    k = _check_args(multigraph, BODY_BAR, d, lattice, trials)
-    redundant, details = is_bar_redundantly_rigid(multigraph, d, lattice, trials, seed)
+    k = _check_args(multigraph, BODY_BAR, d, lattice, sampled=True)
+    redundant, details = is_bar_redundantly_rigid(multigraph, d, lattice, seed=seed)
 
     def verdict(status: str, reason: str, **detail) -> GlobalVerdict:
-        return GlobalVerdict(status, reason, {**detail, "bar_deletions": details}, trials, seed)
+        return GlobalVerdict(status, reason, {**detail, "bar_deletions": details}, seed)
 
     if not redundant:
         return verdict(NOT_GLOBALLY_RIGID, "not-bar-redundantly-rigid")

@@ -41,7 +41,7 @@ class CliError(Exception):
 
 def _read_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
@@ -60,13 +60,13 @@ def _load_document(path: str):
 
 def _resolve_lattice(doc, args) -> Lattice | None:
     if args.lattice_file:
-        return parse_lattice_matrix(_read_json(args.lattice_file), doc.d, doc.k, args.lattice_file)
+        return parse_lattice_matrix(_read_json(args.lattice_file), doc.d, doc.graph.k, args.lattice_file)
     return doc.lattice
 
 
 def _require_mode(doc, mode: str):
-    if doc.mode != mode:
-        raise CliError(f"expected a {mode} document, got {doc.mode}")
+    if doc.graph.mode != mode:
+        raise CliError(f"expected a {mode} document, got {doc.graph.mode}")
 
 
 def _emit(payload: dict) -> None:
@@ -77,7 +77,7 @@ def cmd_rigid(args) -> int:
     doc = _load_document(args.file)
     _require_mode(doc, BAR_JOINT)
     lattice = _resolve_lattice(doc, args)
-    _emit(is_rigid(doc.graph, doc.d, lattice, args.trials, args.seed).to_json())
+    _emit(is_rigid(doc.graph, doc.d, lattice, seed=args.seed).to_json())
     return EXIT_OK
 
 
@@ -85,15 +85,8 @@ def cmd_vrr(args) -> int:
     doc = _load_document(args.file)
     _require_mode(doc, BAR_JOINT)
     lattice = _resolve_lattice(doc, args)
-    ok, details = is_vertex_redundantly_rigid(doc.graph, doc.d, lattice, args.trials, args.seed)
-    _emit(
-        {
-            "vertex_redundantly_rigid": ok,
-            "vertices": details,
-            "trials": args.trials,
-            "seed": args.seed,
-        }
-    )
+    ok, details = is_vertex_redundantly_rigid(doc.graph, doc.d, lattice, seed=args.seed)
+    _emit({"vertex_redundantly_rigid": ok, "vertices": details, "seed": args.seed})
     return EXIT_OK
 
 
@@ -101,7 +94,7 @@ def cmd_global(args) -> int:
     doc = _load_document(args.file)
     _require_mode(doc, BAR_JOINT)
     lattice = _resolve_lattice(doc, args)
-    _emit(decide_global_rigidity(doc.graph, doc.d, lattice, args.trials, args.seed).to_json())
+    _emit(decide_global_rigidity(doc.graph, doc.d, lattice, seed=args.seed).to_json())
     return EXIT_OK
 
 
@@ -114,7 +107,7 @@ def cmd_bodybar(args) -> int:
         _emit(count_rank(doc.graph, doc.d, args.edge_cap).to_json())
     else:  # global
         lattice = _resolve_lattice(doc, args)
-        _emit(decide_body_bar_global(doc.graph, doc.d, lattice, args.trials, args.seed).to_json())
+        _emit(decide_body_bar_global(doc.graph, doc.d, lattice, seed=args.seed).to_json())
     return EXIT_OK
 
 
@@ -134,7 +127,7 @@ def cmd_flexpath(args) -> int:
 
         rows = sample_path(path, args.samples, args.window)
         try:
-            with open(args.out, "w", newline="") as fh:
+            with open(args.out, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(
                     ["t", "vertex", "shift"] + [f"x{i + 1}" for i in range(2 * doc.d)]
@@ -189,7 +182,6 @@ def _add_common(parser: argparse.ArgumentParser, seeded: bool = True) -> None:
     parser.add_argument("file", help="input document (JSON)")
     parser.add_argument("--lattice-file", help="JSON file with a d x k lattice matrix")
     if seeded:
-        parser.add_argument("--trials", type=_int_at_least(1), default=3)
         parser.add_argument("--seed", type=int, default=0)
 
 

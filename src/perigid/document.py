@@ -51,7 +51,7 @@ def parse_rational(value: Any, where: str) -> Fraction:
 
 class Document(Record):
     # lattice, placement and q are None when the document leaves them out
-    __slots__ = ("d", "k", "mode", "graph", "lattice", "placement", "q")
+    __slots__ = ("d", "graph", "lattice", "placement", "q")
 
 
 def _parse_placement(obj: Any, d: int, vertices, where: str) -> Placement:
@@ -147,7 +147,7 @@ def parse_document(obj: Any) -> Document:
     q = None
     if "q" in obj:
         q = _parse_placement(obj["q"], d, vertices, "q")
-    return Document(d, k, mode, graph, lattice, placement, q)
+    return Document(d, graph, lattice, placement, q)
 
 
 def graph_to_document(graph: GainGraph, d: int) -> dict:

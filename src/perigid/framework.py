@@ -97,19 +97,17 @@ def _measurements(framework: Framework, placement: Placement) -> list[Fraction]:
 
 
 def _check_args(
-    graph: GainGraph, mode: str, d: int, lattice: Lattice | None = None, trials: int | None = None
+    graph: GainGraph, mode: str, d: int, lattice: Lattice | None = None, sampled: bool = False
 ) -> int:
     """The argument rules of every public decision; returns graph.k.
 
     The graph itself is valid by construction, and fixes k; what is left is
     that it is in `mode` (a body-bar graph needs a body), that 0 <= k <= d
-    with d >= 1 and that a lattice is d x k.  A decision that
-    samples mod p, which is one given `trials`, also needs trials >= 1 and
-    every gain entry of the whole graph below 2^60 in absolute value, so the
-    bound does not depend on which subgraphs it goes on to rank.
+    with d >= 1 and that a lattice is d x k.  A decision that is `sampled`
+    mod p also needs every gain entry of the whole graph below 2^60 in
+    absolute value, so the bound does not depend on which subgraphs it goes
+    on to rank.
     """
-    if trials is not None and trials < 1:
-        raise ValueError("trials must be >= 1")
     if graph.mode != mode:
         raise ValueError(f"expected a {mode} gain graph, got {graph.mode}")
     if mode == BODY_BAR and not graph.vertices:
@@ -120,13 +118,9 @@ def _check_args(
         raise ValueError("need 0 <= k <= d")
     if lattice is not None and (lattice.d != d or lattice.k != graph.k):
         raise ValueError("lattice dimensions do not match")
-    if trials is not None and any(abs(g) >= GAIN_BOUND for e in graph.edges for g in e.gain):
+    if sampled and any(abs(g) >= GAIN_BOUND for e in graph.edges for g in e.gain):
         raise ValueError("gain entries must be below 2^60 in absolute value")
     return graph.k
-
-
-def _trial_seed(seed: int, trial: int) -> int:
-    return seed * 1_000_003 + trial
 
 
 def _sub_seed(seed: int, index: int) -> int:
@@ -148,44 +142,38 @@ def _lattice_mod_p(lattice: Lattice) -> list[list[int]]:
     return cols
 
 
-def _sampled_rank(graph, d, lattice, trials, seed, ncols, cap, rows_of) -> int:
-    """The one sampling loop of the generic ranks (`generic_rank` and
+def _sampled_rank(graph, d, lattice, seed, ncols, rows_of) -> int:
+    """The one sample of the generic ranks (`generic_rank` and
     `body_bar.body_bar_rank`).
 
-    Trial t seeds `random.Random(_trial_seed(seed, t))`, takes the lattice
-    columns mod p (drawn from that generator when no `lattice` is given) and
-    the rows mod p that `rows_of(rng, cols)` builds from them, with entries in
-    [0, p); the result is the best `mod_rank` over the trials, stopping early
-    at `cap`.  The callers have checked the gain bound (`_check_args`).
+    It seeds `random.Random(seed * 1_000_003)`, takes the lattice columns
+    mod p (drawn from that generator when no `lattice` is given) and the
+    rows mod p that `rows_of(rng, cols)` builds from them, with entries in
+    [0, p), and returns their `mod_rank`.  The callers have checked the gain
+    bound (`_check_args`).
     """
-    fixed = None if lattice is None else _lattice_mod_p(lattice)
-    best = 0
-    for t in range(trials):
-        rng = random.Random(_trial_seed(seed, t))
-        cols = fixed if fixed is not None else [[rng.randrange(MOD_P) for _ in range(d)] for _ in range(graph.k)]
-        best = max(best, mod_rank(rows_of(rng, cols), ncols))
-        if best == cap:
-            break
-    return best
+    rng = random.Random(seed * 1_000_003)
+    if lattice is not None:
+        cols = _lattice_mod_p(lattice)
+    else:
+        cols = [[rng.randrange(MOD_P) for _ in range(d)] for _ in range(graph.k)]
+    return mod_rank(rows_of(rng, cols), ncols)
 
 
-def generic_rank(
-    graph: GainGraph, d: int, lattice: Lattice | None = None, trials: int = 3, seed: int = 0
-) -> int:
+def generic_rank(graph: GainGraph, d: int, lattice: Lattice | None = None, *, seed: int = 0) -> int:
     """Rank of the rigidity matrix at a generic placement.
 
-    Each trial draws the placement, and the lattice columns when no
+    One sample draws the placement, and the lattice columns when no
     `lattice` is given, uniformly from GF(p) with p = 2^61 - 1, and takes the
-    rank of the rigidity matrix mod p (`linalg.mod_rank`); the result is the
-    best over the trials, stopping early at `max_generic_rank`.  A rank
-    mod p is at most the rank over Q at the same point, which is at most the
-    generic rank, so the result never over-reports; by Schwartz-Zippel one
-    trial falls short with probability at most rank/p.  A rational `lattice`
-    is reduced mod p once; a denominator divisible by p raises ValueError.
-    So does a gain entry of absolute value 2^60 or more: below that, distinct
-    gains stay distinct mod p.
+    rank of the rigidity matrix mod p (`linalg.mod_rank`).  A rank mod p is
+    at most the rank over Q at the same point, which is at most the generic
+    rank, so the result never over-reports; by Schwartz-Zippel it falls
+    short with probability at most rank/p.  A rational `lattice` is reduced
+    mod p once; a denominator divisible by p raises ValueError.  So does a
+    gain entry of absolute value 2^60 or more: below that, distinct gains
+    stay distinct mod p.
     """
-    k = _check_args(graph, BAR_JOINT, d, lattice, trials)
+    _check_args(graph, BAR_JOINT, d, lattice, sampled=True)
     p = MOD_P
     verts = graph.vertices
     col_of = {v: i * d for i, v in enumerate(verts)}
@@ -205,8 +193,7 @@ def generic_rank(
             rows.append(row)
         return rows
 
-    cap = min(len(graph.edges), max_generic_rank(len(verts), d, k))
-    return _sampled_rank(graph, d, lattice, trials, seed, ncols, cap, rows_of)
+    return _sampled_rank(graph, d, lattice, seed, ncols, rows_of)
 
 
 def are_equivalent(framework: Framework, q: Placement) -> bool:

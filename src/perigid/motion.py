@@ -26,9 +26,10 @@ DECREASING = "decreasing"
 
 
 class FlexPath(Record):
-    # lattice: the original d-dimensional Lattice, lifted as (L, 0^d);
-    # midpoint a = (p + q) / 2 and half_difference b = (p - q) / 2 are Placements
-    __slots__ = ("d", "k", "lattice", "midpoint", "half_difference")
+    # lattice: the original d-dimensional Lattice, lifted as (L, 0^d), which
+    # fixes d and k; midpoint a = (p + q) / 2 and half_difference
+    # b = (p - q) / 2 are Placements
+    __slots__ = ("lattice", "midpoint", "half_difference")
 
 
 class PairWitness(Record):
@@ -91,7 +92,7 @@ def build_flex_path(framework: Framework, q: Placement) -> FlexPath:
     for v in framework.graph.vertices:
         mid[v] = tuple((p[v][i] + q[v][i]) / 2 for i in range(framework.d))
         half[v] = tuple((p[v][i] - q[v][i]) / 2 for i in range(framework.d))
-    return FlexPath(framework.d, framework.lattice.k, framework.lattice, mid, half)
+    return FlexPath(framework.lattice, mid, half)
 
 
 def _scaled(path: FlexPath):
@@ -107,7 +108,7 @@ def _scaled(path: FlexPath):
     cols = [scale(col) for col in path.lattice.columns]
 
     def image(gamma: GainVector) -> list[int]:
-        return [sum(g * col[i] for g, col in zip(gamma, cols)) for i in range(path.d)]
+        return [sum(g * col[i] for g, col in zip(gamma, cols)) for i in range(path.lattice.d)]
 
     mid = {v: scale(a) for v, a in path.midpoint.items()}
     half = {v: scale(b) for v, b in path.half_difference.items()}
@@ -130,18 +131,18 @@ def verify_path(path: FlexPath, framework: Framework, q: Placement) -> PathCerti
     per gain.
     """
     check_placement(framework.graph, framework.d, q)
-    if path.d != framework.d or path.lattice != framework.lattice:
+    if path.lattice != framework.lattice:
         raise ValueError("path was not built from this framework")
     p = framework.placement
+    d = framework.d
     endpoints = all(
-        tuple(path.midpoint[v][i] + path.half_difference[v][i] for i in range(path.d)) == p[v]
-        and tuple(path.midpoint[v][i] - path.half_difference[v][i] for i in range(path.d))
-        == tuple(q[v])
+        tuple(path.midpoint[v][i] + path.half_difference[v][i] for i in range(d)) == p[v]
+        and tuple(path.midpoint[v][i] - path.half_difference[v][i] for i in range(d)) == tuple(q[v])
         for v in framework.graph.vertices
     )
     den, mid, half, image = _scaled(path)
     den2 = den * den
-    k = path.k
+    k = path.lattice.k
     gammas: list[GainVector] = [(0,) * k]
     for j in range(k):
         gammas.append(tuple(1 if i == j else 0 for i in range(k)))
@@ -171,7 +172,7 @@ def sample_path(path: FlexPath, samples: int, window: int = 1) -> list[dict]:
     if samples < 2:
         raise ValueError("need at least 2 samples")
     verts = sorted(path.midpoint)
-    cover = covering_window(GainGraph(path.k, tuple(verts), ()), window)
+    cover = covering_window(GainGraph(path.lattice.k, tuple(verts), ()), window)
     # each orbit in floats, once: the point a + L(shift) and the half-difference
     # b as their scaled integers over D; int / int rounds correctly, so these
     # are the floats of the rationals themselves

@@ -22,47 +22,45 @@ UNKNOWN = "Unknown"
 
 
 class RigidityVerdict(Record):
-    __slots__ = ("rigid", "achieved_rank", "target_rank", "method", "trials", "seed")
+    __slots__ = ("rigid", "achieved_rank", "target_rank", "method", "seed")
 
 
 class GlobalVerdict(Record):
-    __slots__ = ("status", "reason", "detail", "trials", "seed")
+    __slots__ = ("status", "reason", "detail", "seed")
 
 
-def is_rigid(
-    graph: GainGraph, d: int, lattice: Lattice | None = None, trials: int = 3, seed: int = 0
-) -> RigidityVerdict:
+def is_rigid(graph: GainGraph, d: int, lattice: Lattice | None = None, *, seed: int = 0) -> RigidityVerdict:
     # generic_rank checks the arguments
-    achieved = generic_rank(graph, d, lattice, trials, seed)
+    achieved = generic_rank(graph, d, lattice, seed=seed)
     k = graph.k
     n = len(graph.vertices)
     target = max_generic_rank(n, d, k)
     method = STANDARD_COUNT if n >= d + 1 or k == d else SATURATED_COMPARISON
-    return RigidityVerdict(achieved == target, achieved, target, method, trials, seed)
+    return RigidityVerdict(achieved == target, achieved, target, method, seed)
 
 
 def is_vertex_redundantly_rigid(
-    graph: GainGraph, d: int, lattice: Lattice | None = None, trials: int = 3, seed: int = 0
+    graph: GainGraph, d: int, lattice: Lattice | None = None, *, seed: int = 0
 ) -> tuple[bool, list[dict]]:
     """True iff deleting any single vertex (orbit) leaves a rigid graph.
 
     Deleting down to the empty vertex set counts as rigid.  Returns the
     verdict and a per-vertex detail list.
     """
-    _check_args(graph, BAR_JOINT, d, lattice, trials)
+    _check_args(graph, BAR_JOINT, d, lattice, sampled=True)
     details = []
     for i, v in enumerate(graph.vertices):
         reduced = graph.delete_vertex(v)
         if not reduced.vertices:
             details.append({"vertex": v, "rigid": True, "note": "empty graph, vacuously rigid"})
             continue
-        verdict = is_rigid(reduced, d, lattice, trials, _sub_seed(seed, i))
+        verdict = is_rigid(reduced, d, lattice, seed=_sub_seed(seed, i))
         details.append({"vertex": v, "rigid": verdict.rigid, "verdict": verdict.to_json()})
     return all(x["rigid"] for x in details), details
 
 
 def decide_global_rigidity(
-    graph: GainGraph, d: int, lattice: Lattice | None = None, trials: int = 3, seed: int = 0
+    graph: GainGraph, d: int, lattice: Lattice | None = None, *, seed: int = 0
 ) -> GlobalVerdict:
     """Three-way global rigidity decision.
 
@@ -72,10 +70,10 @@ def decide_global_rigidity(
     already ensured gain rank k, which is Theorem 2's rank-d condition at
     k = d); otherwise Unknown (the sufficient condition is not necessary).
     """
-    base = is_rigid(graph, d, lattice, trials, seed)  # checks the arguments
+    base = is_rigid(graph, d, lattice, seed=seed)  # checks the arguments
 
     def verdict(status: str, reason: str, **detail) -> GlobalVerdict:
-        return GlobalVerdict(status, reason, {**detail, "rigidity": base.to_json()}, trials, seed)
+        return GlobalVerdict(status, reason, {**detail, "rigidity": base.to_json()}, seed)
 
     k = graph.k
     n = len(graph.vertices)
@@ -86,7 +84,7 @@ def decide_global_rigidity(
         return verdict(NOT_GLOBALLY_RIGID, "gain-rank-below-k", gain_rank=g_rank, k=k)
     if n <= d - k + 1:
         return verdict(GLOBALLY_RIGID, "small-graph-corollary", vertices=n, bound=d - k + 1)
-    vrr, details = is_vertex_redundantly_rigid(graph, d, lattice, trials, seed)
+    vrr, details = is_vertex_redundantly_rigid(graph, d, lattice, seed=seed)
     if vrr:
         return verdict(GLOBALLY_RIGID, "thm-2-rigid-and-rank", gain_rank=g_rank, vertex_deletions=details)
     return verdict(UNKNOWN, "inconclusive", gain_rank=g_rank, vertex_deletions=details)

@@ -15,10 +15,8 @@ from perigid.framework import (
     Lattice,
     _check_args,
     _sub_seed,
-    _trial_seed,
     generic_rank,
     identity_lattice,
-    max_generic_rank,
 )
 from perigid.gain_graph import BAR_JOINT, BODY_BAR, GainEdge, GainGraph, GainVector, gain_graph, gain_rank
 from perigid.linalg import integer_rank
@@ -175,8 +173,8 @@ def pair_witness(path: FlexPath, u: str, v: str, gamma: GainVector) -> PairWitne
     product <a_u - a_v - L(gamma), b_u - b_v> for the pair (u at shift 0,
     v at shift gamma)."""
     shift = path.lattice.image(gamma)
-    da = [path.midpoint[u][i] - path.midpoint[v][i] - shift[i] for i in range(path.d)]
-    db = [path.half_difference[u][i] - path.half_difference[v][i] for i in range(path.d)]
+    da = [path.midpoint[u][i] - path.midpoint[v][i] - shift[i] for i in range(path.lattice.d)]
+    db = [path.half_difference[u][i] - path.half_difference[v][i] for i in range(path.lattice.d)]
     return PairWitness(u, v, tuple(gamma), sum(x * y for x, y in zip(da, db)))
 
 
@@ -277,31 +275,24 @@ def saturated_complete_graph(vertices, k: int, window: int) -> GainGraph:
     return GainGraph(k, verts, tuple(edges), BAR_JOINT)
 
 
-def saturated_complete_rank(vertices, d, k, lattice, trials, seed, max_window=8) -> int:
+def saturated_complete_rank(vertices, d, k, lattice, seed, max_window=8) -> int:
     """Oracle for `max_generic_rank`: generic rank of the complete gain graph
     on `vertices`, found by growing the gain window until two consecutive
     radii agree."""
     prev = None
     for m in range(1, max_window + 1):
-        r = generic_rank(saturated_complete_graph(vertices, k, m), d, lattice, trials, seed)
+        r = generic_rank(saturated_complete_graph(vertices, k, m), d, lattice, seed=seed)
         if r == prev:
             return r
         prev = r
     raise RuntimeError("saturated complete rank did not stabilise")
 
 
-def bareiss_generic_rank(graph: GainGraph, d: int, lattice=None, trials: int = 3, seed: int = 0) -> int:
+def bareiss_generic_rank(graph: GainGraph, d: int, lattice=None, seed: int = 0) -> int:
     """Reference for `generic_rank`: the exact rank over Q (Fraction entries,
-    Bareiss elimination) of each seeded `random_generic_framework`, best over
-    the trials, stopping early at `max_generic_rank`."""
-    best = 0
-    cap = min(len(graph.edges), max_generic_rank(len(graph.vertices), d, graph.k))
-    for t in range(trials):
-        fw = random_generic_framework(graph, d, lattice, _trial_seed(seed, t))
-        best = max(best, rank(rigidity_matrix(fw)))
-        if best == cap:
-            break
-    return best
+    Bareiss elimination) at one sampled point, the `random_generic_framework`
+    of seed `seed * 1_000_003`."""
+    return rank(rigidity_matrix(random_generic_framework(graph, d, lattice, seed * 1_000_003)))
 
 
 def random_rational_lattice(rng: random.Random, d: int, k: int) -> Lattice:
@@ -317,18 +308,18 @@ def random_rational_lattice(rng: random.Random, d: int, k: int) -> Lattice:
             pass
 
 
-def expansion_bar_redundancy(multigraph: GainGraph, d: int, lattice=None, trials: int = 3, seed: int = 0):
+def expansion_bar_redundancy(multigraph: GainGraph, d: int, lattice=None, seed: int = 0):
     """Reference for `is_bar_redundantly_rigid` on the joint expansion: each
     bar's gain edge is deleted from `build_body_bar_gain_graph` and the rest
     decided by `is_rigid`, with the decision's per-deletion seeds."""
     k = multigraph.k
     built = build_body_bar_gain_graph(multigraph, d)
     if not multigraph.edges:
-        return is_rigid(built, d, lattice, trials, seed).rigid, []
+        return is_rigid(built, d, lattice, seed=seed).rigid, []
     details = []
     for i, e in enumerate(multigraph.edges):
         reduced = built.delete_edge(f"bar:{e.id}")
-        verdict = is_rigid(reduced, d, lattice, trials, _sub_seed(seed, i))
+        verdict = is_rigid(reduced, d, lattice, seed=_sub_seed(seed, i))
         details.append({"edge": e.id, "rigid": verdict.rigid, "verdict": verdict.to_json()})
     return all(x["rigid"] for x in details), details
 

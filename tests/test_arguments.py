@@ -23,7 +23,7 @@ GRAPHS = {
     BODY_BAR: lambda k: gain_graph(k, ["b0", "b1"], [], mode=BODY_BAR),
 }
 
-SAMPLED = {"lattice", "trials", "seed"}
+SAMPLED = {"lattice", "seed"}
 
 # (decision, the mode it takes, its parameters besides graph and d)
 DECISIONS = [
@@ -41,7 +41,6 @@ DECISIONS = [
 
 # bad argument -> (parameter it needs, graph in the other mode, graph k, d, keywords)
 CASES = {
-    "trials-0": ("trials", False, 1, 2, {"trials": 0}),
     "wrong-mode": (None, True, 1, 2, {}),
     "d-0": (None, False, 0, 0, {}),
     "k-above-d": (None, False, 3, 2, {}),
@@ -72,3 +71,19 @@ def test_table_lists_every_parameter(decision, params):
     # the graph's own k is no parameter: a no-op knob that comes back fails here
     _graph, d, *rest = inspect.signature(decision).parameters
     assert d == "d" and set(rest) == params
+
+
+@pytest.mark.parametrize(
+    "decision, mode",
+    [
+        pytest.param(f, mode, id=f.__name__)
+        for f, mode, params in DECISIONS
+        if params == SAMPLED and f is not random_generic_framework
+    ],
+)
+def test_seed_is_keyword_only(decision, mode):
+    # a fourth positional argument is refused, not read as the seed
+    graph = GRAPHS[mode](1)
+    with pytest.raises(TypeError):
+        decision(graph, 2, None, 3)
+    decision(graph, 2, None, seed=3)

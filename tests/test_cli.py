@@ -1,8 +1,12 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -125,6 +129,15 @@ class TestInvalidInput:
     def test_bad_flag(self, tmp_path, capsys):
         code, _, _ = run(capsys, "rigid", write(tmp_path, FIG2), "--bogus")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command", [("rigid",), ("vrr",), ("global",), ("bodybar", "global")], ids=" ".join
+    )
+    def test_trials_flag_removed(self, tmp_path, capsys, command):
+        doc = BODYBAR if command[0] == "bodybar" else FIG2
+        code, out, err = run(capsys, *command, write(tmp_path, doc), "--trials", "3")
+        assert code == EXIT_INVALID and out == ""
+        assert "unrecognized arguments: --trials 3" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -396,6 +409,27 @@ class TestDeterminism:
         _, first, _ = run(capsys, *argv, path, "--seed", "5")
         _, second, _ = run(capsys, *argv, path, "--seed", "5")
         assert first == second
+
+
+class TestEncoding:
+    def test_utf8_whatever_the_locale(self, tmp_path):
+        # JSON is UTF-8 (RFC 8259): a vertex "\u00e9" reads and writes the
+        # same under the C locale as under UTF-8 mode
+        doc = json.loads(json.dumps(FIG2_WITH_PATH).replace('"b"', '"\u00e9"'))
+        path = tmp_path / "doc.json"
+        path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        results = []
+        for env in ({"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}, {"PYTHONUTF8": "1"}):
+            out = tmp_path / f"path-{len(results)}.csv"
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **env)
+            argv = [sys.executable, "-m", "perigid.cli", "flexpath", str(path), "--out", str(out)]
+            done = subprocess.run(argv, env=env, capture_output=True)
+            table = out.read_bytes() if out.exists() else None
+            results.append((done.returncode, done.stdout.replace(str(out).encode(), b"OUT"), table))
+        assert results[0] == results[1]
+        code, _, table = results[0]
+        assert code == EXIT_OK and "\u00e9".encode("utf-8") in table
 
 
 class TestDocumentParsing:

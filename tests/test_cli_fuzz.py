@@ -95,7 +95,7 @@ def flag(draw, *good: str) -> str:
 def flags(draw, command: str) -> list[str]:
     out = []
     if command in ("rigid", "vrr", "global", "bodybar"):
-        out += ["--trials", flag(draw, "1", "3"), "--seed", draw(st.sampled_from(["0", "7", "-3"]))]
+        out += ["--seed", draw(st.sampled_from(["0", "7", "-3"]))]
     if command == "bodybar":
         out += ["--edge-cap", flag(draw, "3", "20")]
     if command in ("flexpath", "covering"):

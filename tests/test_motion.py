@@ -251,7 +251,7 @@ def test_samples_match_fraction_reference(case):
         v, c, sn = row["vertex"], math.cos(math.pi * row["t"]), math.sin(math.pi * row["t"])
         lat = path.lattice.image(row["shift"])
         a, b = path.midpoint[v], path.half_difference[v]
-        first = [float(a[i] + lat[i]) + c * float(b[i]) for i in range(path.d)]
+        first = [float(a[i] + lat[i]) + c * float(b[i]) for i in range(path.lattice.d)]
         assert row["coords"] == first + [sn * float(x) for x in b]
 
 

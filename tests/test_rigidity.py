@@ -136,7 +136,7 @@ class TestMaxGenericRank:
             for k in range(d):
                 lattice = make_lattice(d, k) if make_lattice else None
                 for n in range(1, d + 1):
-                    oracle = saturated_complete_rank([f"v{i}" for i in range(n)], d, k, lattice, 3, n)
+                    oracle = saturated_complete_rank([f"v{i}" for i in range(n)], d, k, lattice, n)
                     assert max_generic_rank(n, d, k) == oracle, (d, k, n)
 
     def test_generic_rank_never_exceeds_bound(self):
