@@ -13,9 +13,6 @@ from .body_bar import (
 from .framework import (
     Framework,
     Lattice,
-    are_congruent,
-    are_equivalent,
-    edge_measurements,
     generic_rank,
     identity_lattice,
 )

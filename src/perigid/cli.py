@@ -149,7 +149,12 @@ def cmd_covering(args) -> int:
     doc = _load_document(args.file)
     window = covering_window(doc.graph, args.window)
     if args.format == "dot":
-        sys.stdout.write(covering_to_dot(window))
+        text = covering_to_dot(window)
+        if hasattr(sys.stdout, "buffer"):  # UTF-8 whatever the locale
+            sys.stdout.flush()
+            sys.stdout.buffer.write(text.encode("utf-8"))
+        else:  # a text-only stream, such as io.StringIO
+            sys.stdout.write(text)
     else:
         _emit(covering_to_json(window))
     return EXIT_OK

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from math import comb, lcm
 
-from .gain_graph import BAR_JOINT, BODY_BAR, GainGraph, GainVector
+from .gain_graph import BAR_JOINT, BODY_BAR, GainGraph
 from .linalg import MOD_P, integer_rank, mod_rank
 from .record import Record
 
@@ -36,17 +36,6 @@ class Lattice(Record):
             scaled.append([x.numerator * (den // x.denominator) for x in col])
         if integer_rank(scaled, self.d) != self.k:
             raise ValueError("lattice columns are not linearly independent")
-
-    def image(self, gamma: GainVector) -> Point:
-        """L(gamma) as a point of R^d."""
-        if len(gamma) != self.k:
-            raise ValueError("gain vector has wrong length")
-        out = [Fraction(0)] * self.d
-        for g, col in zip(gamma, self.columns):
-            if g:
-                for i in range(self.d):
-                    out[i] += g * col[i]
-        return tuple(out)
 
 
 def identity_lattice(d: int, k: int) -> Lattice:
@@ -77,23 +66,6 @@ def check_placement(graph: GainGraph, d: int, placement: Placement) -> None:
             raise ValueError(f"placement missing vertex {v!r}")
         if len(placement[v]) != d:
             raise ValueError(f"placement of {v!r} has wrong dimension")
-
-
-def edge_measurements(framework: Framework) -> list[Fraction]:
-    """Squared edge lengths of the quotient edges, in edge order."""
-    return _measurements(framework, framework.placement)
-
-
-def _measurements(framework: Framework, placement: Placement) -> list[Fraction]:
-    out = []
-    for e in framework.graph.edges:
-        shift = framework.lattice.image(e.gain)
-        diff = [
-            placement[e.tail][i] - placement[e.head][i] - shift[i]
-            for i in range(framework.d)
-        ]
-        out.append(sum(x * x for x in diff))
-    return out
 
 
 def _check_args(
@@ -194,37 +166,6 @@ def generic_rank(graph: GainGraph, d: int, lattice: Lattice | None = None, *, se
         return rows
 
     return _sampled_rank(graph, d, lattice, seed, ncols, rows_of)
-
-
-def are_equivalent(framework: Framework, q: Placement) -> bool:
-    """Exact equality of all squared edge measurements for p and q."""
-    check_placement(framework.graph, framework.d, q)
-    return edge_measurements(framework) == _measurements(framework, q)
-
-
-def are_congruent(framework: Framework, q: Placement) -> bool:
-    """Exact congruence as L-periodic placements.
-
-    Equality of measurements over the complete gain graph reduces to: equal
-    squared distances on all vertex pairs, and equal inner products of all
-    pair differences with each lattice column.
-    """
-    check_placement(framework.graph, framework.d, q)
-    p = framework.placement
-    d = framework.d
-    verts = framework.graph.vertices
-    for i, u in enumerate(verts):
-        for v in verts[i + 1 :]:
-            dp = [p[u][c] - p[v][c] for c in range(d)]
-            dq = [q[u][c] - q[v][c] for c in range(d)]
-            if sum(x * x for x in dp) != sum(x * x for x in dq):
-                return False
-            for col in framework.lattice.columns:
-                if sum(x * y for x, y in zip(dp, col)) != sum(
-                    x * y for x, y in zip(dq, col)
-                ):
-                    return False
-    return True
 
 
 def max_generic_rank(n_vertices: int, d: int, k: int) -> int:

@@ -107,28 +107,30 @@ def _scaled(path: FlexPath):
 
     cols = [scale(col) for col in path.lattice.columns]
 
-    def image(gamma: GainVector) -> list[int]:
+    def shift_of(gamma: GainVector) -> list[int]:
         return [sum(g * col[i] for g, col in zip(gamma, cols)) for i in range(path.lattice.d)]
 
     mid = {v: scale(a) for v, a in path.midpoint.items()}
     half = {v: scale(b) for v, b in path.half_difference.items()}
-    return den, mid, half, image
+    return den, mid, half, shift_of
 
 
 def verify_path(path: FlexPath, framework: Framework, q: Placement) -> PathCertificate:
     """Exact certificate that the path is the advertised motion.
 
     Endpoints are rational identities (lattice periodicity needs no check:
-    the lift shifts every orbit by (L(gamma), 0^d) for all t); each edge is
-    length-preserving iff its inner-product witness vanishes; the pair set of
-    the finite congruence criterion (all vertex pairs at shift 0 and at each
-    lattice generator) is classified as constant/increasing/decreasing.
+    the lift shifts every orbit by (L(gamma), 0^d) for all t).  The witness of
+    the pair (u at shift 0, v at shift gamma) is <a_u - a_v - L(gamma),
+    b_u - b_v> = (|P - L(gamma)|^2 - |Q - L(gamma)|^2) / 4 with P = p_u - p_v
+    and Q = q_u - q_v.  So an edge keeps its length iff its witness is 0, and
+    `all_edges_preserved` is the equivalence of p and q; the pairs of the
+    finite congruence criterion (all vertex pairs at shift 0 and at each
+    lattice generator e_j) are constant iff |P| = |Q| and
+    <P, L e_j> = <Q, L e_j>, so `all_pairs_constant` is their congruence.
 
-    The witness of the pair (u at shift 0, v at shift gamma) is the inner
-    product <a_u - a_v - L(gamma), b_u - b_v>.  It is computed in integers:
-    with a, b and L scaled by their common denominator D, it is the integer
-    inner product of the scaled vectors over D^2, and L(gamma) is taken once
-    per gain.
+    The witnesses are computed in integers: with a, b and L scaled by their
+    common denominator D, each is the integer inner product of the scaled
+    vectors over D^2, and L(gamma) is taken once per gain.
     """
     check_placement(framework.graph, framework.d, q)
     if path.lattice != framework.lattice:
@@ -140,13 +142,13 @@ def verify_path(path: FlexPath, framework: Framework, q: Placement) -> PathCerti
         and tuple(path.midpoint[v][i] - path.half_difference[v][i] for i in range(d)) == tuple(q[v])
         for v in framework.graph.vertices
     )
-    den, mid, half, image = _scaled(path)
+    den, mid, half, shift_of = _scaled(path)
     den2 = den * den
     k = path.lattice.k
     gammas: list[GainVector] = [(0,) * k]
     for j in range(k):
         gammas.append(tuple(1 if i == j else 0 for i in range(k)))
-    shifts = {gamma: image(gamma) for gamma in {*gammas, *(e.gain for e in framework.graph.edges)}}
+    shifts = {gamma: shift_of(gamma) for gamma in {*gammas, *(e.gain for e in framework.graph.edges)}}
 
     def witness(u: str, v: str, gamma: GainVector) -> PairWitness:
         num = sum(
@@ -176,11 +178,11 @@ def sample_path(path: FlexPath, samples: int, window: int = 1) -> list[dict]:
     # each orbit in floats, once: the point a + L(shift) and the half-difference
     # b as their scaled integers over D; int / int rounds correctly, so these
     # are the floats of the rationals themselves
-    den, mid, half_diff, image = _scaled(path)
+    den, mid, half_diff, shift_of = _scaled(path)
     orbits = []
     for v, shift in cover.vertices:
         try:
-            base = [(x + y) / den for x, y in zip(mid[v], image(shift))]
+            base = [(x + y) / den for x, y in zip(mid[v], shift_of(shift))]
             half = [x / den for x in half_diff[v]]
             # |a + cos(pi t) b| <= |a| + |b|, also after rounding
             finite = all(math.isfinite(abs(x) + abs(y)) for x, y in zip(base, half))

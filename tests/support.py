@@ -1,7 +1,9 @@
 """Shared builders for the test suite, and the oracles the library's fast
 paths are checked against: the exact Fraction rigidity matrix of a seeded
 framework, with its pinned form, the Fraction monotonicity witness of a
-flex path, and the enumeration of the body-bar count matroid."""
+flex path, the Fraction edge measurements with the equivalence and
+congruence tests they decide, and the enumeration of the body-bar count
+matroid."""
 
 import random
 from fractions import Fraction
@@ -13,8 +15,11 @@ from perigid.body_bar import DEFAULT_EDGE_CAP, CountReport, body_bar_target, bui
 from perigid.framework import (
     Framework,
     Lattice,
+    Placement,
+    Point,
     _check_args,
     _sub_seed,
+    check_placement,
     generic_rank,
     identity_lattice,
 )
@@ -81,6 +86,68 @@ def rank(matrix: RationalMatrix) -> int:
     return integer_rank(scaled, matrix.cols)
 
 
+def lattice_image(lattice: Lattice, gamma: GainVector) -> Point:
+    """L(gamma) as a point of R^d."""
+    if len(gamma) != lattice.k:
+        raise ValueError("gain vector has wrong length")
+    out = [Fraction(0)] * lattice.d
+    for g, col in zip(gamma, lattice.columns):
+        if g:
+            for i in range(lattice.d):
+                out[i] += g * col[i]
+    return tuple(out)
+
+
+def edge_measurements(framework: Framework) -> list[Fraction]:
+    """Squared edge lengths of the quotient edges, in edge order."""
+    return _measurements(framework, framework.placement)
+
+
+def _measurements(framework: Framework, placement: Placement) -> list[Fraction]:
+    out = []
+    for e in framework.graph.edges:
+        shift = lattice_image(framework.lattice, e.gain)
+        diff = [
+            placement[e.tail][i] - placement[e.head][i] - shift[i]
+            for i in range(framework.d)
+        ]
+        out.append(sum(x * x for x in diff))
+    return out
+
+
+def are_equivalent(framework: Framework, q: Placement) -> bool:
+    """Oracle for `PathCertificate.all_edges_preserved`: exact equality of
+    all squared edge measurements for p and q."""
+    check_placement(framework.graph, framework.d, q)
+    return edge_measurements(framework) == _measurements(framework, q)
+
+
+def are_congruent(framework: Framework, q: Placement) -> bool:
+    """Oracle for `PathCertificate.all_pairs_constant`: exact congruence as
+    L-periodic placements.
+
+    Equality of measurements over the complete gain graph reduces to: equal
+    squared distances on all vertex pairs, and equal inner products of all
+    pair differences with each lattice column.
+    """
+    check_placement(framework.graph, framework.d, q)
+    p = framework.placement
+    d = framework.d
+    verts = framework.graph.vertices
+    for i, u in enumerate(verts):
+        for v in verts[i + 1 :]:
+            dp = [p[u][c] - p[v][c] for c in range(d)]
+            dq = [q[u][c] - q[v][c] for c in range(d)]
+            if sum(x * x for x in dp) != sum(x * x for x in dq):
+                return False
+            for col in framework.lattice.columns:
+                if sum(x * y for x, y in zip(dp, col)) != sum(
+                    x * y for x, y in zip(dq, col)
+                ):
+                    return False
+    return True
+
+
 def rigidity_matrix(framework: Framework) -> RationalMatrix:
     """Jacobian of the squared-length map, one row per edge, d columns per
     vertex (the constant factor 2 is dropped; it never changes the rank)."""
@@ -90,7 +157,7 @@ def rigidity_matrix(framework: Framework) -> RationalMatrix:
     rows = []
     for e in framework.graph.edges:
         row = [Fraction(0)] * (d * len(verts))
-        shift = framework.lattice.image(e.gain)
+        shift = lattice_image(framework.lattice, e.gain)
         for i in range(d):
             x = framework.placement[e.tail][i] - framework.placement[e.head][i] - shift[i]
             row[col_of[e.tail] + i] += x
@@ -172,7 +239,7 @@ def pair_witness(path: FlexPath, u: str, v: str, gamma: GainVector) -> PairWitne
     """Oracle for the witnesses of `verify_path`, in Fractions: the inner
     product <a_u - a_v - L(gamma), b_u - b_v> for the pair (u at shift 0,
     v at shift gamma)."""
-    shift = path.lattice.image(gamma)
+    shift = lattice_image(path.lattice, gamma)
     da = [path.midpoint[u][i] - path.midpoint[v][i] - shift[i] for i in range(path.lattice.d)]
     db = [path.half_difference[u][i] - path.half_difference[v][i] for i in range(path.lattice.d)]
     return PairWitness(u, v, tuple(gamma), sum(x * y for x, y in zip(da, db)))

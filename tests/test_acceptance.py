@@ -9,11 +9,7 @@ from fractions import Fraction
 from math import comb
 
 from perigid.body_bar import build_body_bar_gain_graph, count_rank
-from perigid.framework import (
-    are_congruent,
-    are_equivalent,
-    generic_rank,
-)
+from perigid.framework import generic_rank
 from perigid.gain_graph import gain_graph, gain_rank, reverse_edge, switch
 from perigid.motion import build_flex_path, verify_path
 from perigid.rigidity import (
@@ -24,6 +20,8 @@ from perigid.rigidity import (
     is_vertex_redundantly_rigid,
 )
 from support import (
+    are_congruent,
+    are_equivalent,
     complete_graph,
     fig2_flip_placement,
     fig2_framework,

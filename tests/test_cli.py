@@ -413,23 +413,26 @@ class TestDeterminism:
 
 class TestEncoding:
     def test_utf8_whatever_the_locale(self, tmp_path):
-        # JSON is UTF-8 (RFC 8259): a vertex "\u00e9" reads and writes the
-        # same under the C locale as under UTF-8 mode
+        # JSON is UTF-8 (RFC 8259) and Graphviz reads DOT as UTF-8: a vertex
+        # "\u00e9" reads and writes the same under the C locale as under
+        # UTF-8 mode
         doc = json.loads(json.dumps(FIG2_WITH_PATH).replace('"b"', '"\u00e9"'))
         path = tmp_path / "doc.json"
         path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
         src = str(Path(__file__).resolve().parent.parent / "src")
-        results = []
-        for env in ({"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}, {"PYTHONUTF8": "1"}):
-            out = tmp_path / f"path-{len(results)}.csv"
-            env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **env)
-            argv = [sys.executable, "-m", "perigid.cli", "flexpath", str(path), "--out", str(out)]
-            done = subprocess.run(argv, env=env, capture_output=True)
-            table = out.read_bytes() if out.exists() else None
-            results.append((done.returncode, done.stdout.replace(str(out).encode(), b"OUT"), table))
-        assert results[0] == results[1]
-        code, _, table = results[0]
-        assert code == EXIT_OK and "\u00e9".encode("utf-8") in table
+        out = tmp_path / "path.csv"
+        commands = (["flexpath", str(path), "--out", str(out)], ["covering", str(path), "--format", "dot", "--window", "0"])
+        for command in commands:
+            results = []
+            for env in ({"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}, {"PYTHONUTF8": "1"}):
+                out.unlink(missing_ok=True)
+                env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **env)
+                done = subprocess.run([sys.executable, "-m", "perigid.cli", *command], env=env, capture_output=True)
+                table = out.read_bytes() if out.exists() else None
+                results.append((done.returncode, done.stdout, table))
+            assert results[0] == results[1], command
+            code, stdout, table = results[0]
+            assert code == EXIT_OK and "\u00e9".encode("utf-8") in (table or stdout), command
 
 
 class TestDocumentParsing:

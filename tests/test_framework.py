@@ -1,16 +1,15 @@
 import random
+import types
 from fractions import Fraction
 from math import comb
 
 import pytest
 import sympy
 
+import perigid
 from perigid.framework import (
     Framework,
     Lattice,
-    are_congruent,
-    are_equivalent,
-    edge_measurements,
     generic_rank,
     identity_lattice,
 )
@@ -18,10 +17,14 @@ from perigid.gain_graph import gain_graph
 from perigid.linalg import MOD_P
 from support import (
     PinSpec,
+    are_congruent,
+    are_equivalent,
     bareiss_generic_rank,
+    edge_measurements,
     fig2_flip_placement,
     fig2_framework,
     fig2_graph,
+    lattice_image,
     pinned_rigidity_matrix,
     random_bar_joint_graph,
     random_generic_framework,
@@ -39,6 +42,26 @@ def sympy_rank(matrix):
     ).rank()
 
 
+PUBLIC_NAMES = {
+    "CountReport", "CoveringWindow", "FlexPath", "Framework", "GainEdge", "GainGraph",
+    "GlobalVerdict", "InvalidGainGraphError", "Lattice", "PathCertificate", "RigidityVerdict",
+    "body_bar_rank", "build_body_bar_gain_graph", "build_flex_path", "count_rank",
+    "covering_window", "decide_body_bar_global", "decide_global_rigidity", "gain_graph",
+    "gain_rank", "generic_rank", "identity_lattice", "integer_rank", "is_bar_redundantly_rigid",
+    "is_rigid", "is_vertex_redundantly_rigid", "reverse_edge", "sample_path", "switch",
+    "verify_path",
+}
+
+
+def test_public_names():
+    # the Fraction oracles live in tests/support.py; none of them is public
+    names = {
+        n for n in dir(perigid) if not n.startswith("_") and not isinstance(getattr(perigid, n), types.ModuleType)
+    }
+    assert names == PUBLIC_NAMES
+    assert not hasattr(perigid.Lattice, "image")
+
+
 class TestLattice:
     def test_nonsingular_required(self):
         with pytest.raises(ValueError):
@@ -46,11 +69,11 @@ class TestLattice:
 
     def test_image(self):
         lat = identity_lattice(2, 2)
-        assert lat.image((3, -1)) == (Fraction(3), Fraction(-1))
+        assert lattice_image(lat, (3, -1)) == (Fraction(3), Fraction(-1))
 
     def test_k_zero(self):
         lat = identity_lattice(3, 0)
-        assert lat.image(()) == (0, 0, 0)
+        assert lattice_image(lat, ()) == (0, 0, 0)
 
 
 class TestMeasurements:

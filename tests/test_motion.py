@@ -3,10 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from perigid.framework import Framework, edge_measurements, identity_lattice
+from perigid.framework import Framework, identity_lattice
 from perigid.gain_graph import gain_graph
 from perigid.motion import (
     CONSTANT,
@@ -17,8 +17,12 @@ from perigid.motion import (
 )
 from perigid.rigidity import is_rigid
 from support import (
+    are_congruent,
+    are_equivalent,
+    edge_measurements,
     fig2_flip_placement,
     fig2_framework,
+    lattice_image,
     pair_witness,
     random_bar_joint_graph,
     random_rational_lattice,
@@ -199,7 +203,7 @@ class TestSmallGraphCheck:
         for t in sorted({r["t"] for r in rows}):
             at = {r["vertex"]: r["coords"] for r in rows if r["t"] == t}
             for e, expect in zip(fw.graph.edges, base):
-                shift = [float(x) for x in fw.lattice.image(e.gain)] + [0.0] * fw.d
+                shift = [float(x) for x in lattice_image(fw.lattice, e.gain)] + [0.0] * fw.d
                 dist = sum(
                     (at[e.tail][i] - at[e.head][i] - shift[i]) ** 2
                     for i in range(2 * fw.d)
@@ -241,6 +245,47 @@ def test_witnesses_match_fraction_oracle(case):
     assert cert.flexibility == any(w.direction != CONSTANT for w in cert.pair_witnesses)
 
 
+@st.composite
+def oracle_cases(draw):
+    """(framework, q): d in 1..3, k in 0..d, the identity or a rational
+    lattice, 1-4 vertex orbits; q is p itself, a translate, a reflection or a
+    perturbation of p, or any placement of an edgeless graph, which is
+    equivalent to p but rarely congruent."""
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(0, d))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["same", "translate", "reflect", "perturb", "edgeless"]))
+    graph = random_bar_joint_graph(rng, k, n, 0 if kind == "edgeless" else draw(st.integers(0, 2 * n)))
+    lattice = identity_lattice(d, k) if draw(st.booleans()) else random_rational_lattice(rng, d, k)
+    coord = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    point = st.lists(coord, min_size=d, max_size=d).map(tuple)
+    p = {v: draw(point) for v in graph.vertices}
+    if kind == "same":
+        q = dict(p)
+    elif kind == "translate":
+        shift = draw(point)
+        q = {v: tuple(x + t for x, t in zip(a, shift)) for v, a in p.items()}
+    elif kind == "reflect":
+        q = {v: a[:-1] + (-a[-1],) for v, a in p.items()}
+    elif kind == "perturb":
+        q = {v: tuple(x + draw(coord) / 12 for x in a) for v, a in p.items()}
+    else:
+        q = {v: draw(point) for v in graph.vertices}
+    return Framework(graph, lattice, p), q
+
+
+@settings(deadline=None, max_examples=100)
+@given(oracle_cases())
+@example((fig2_framework(), fig2_flip_placement()))
+def test_certificate_decides_equivalence_and_congruence(case):
+    # the integer witnesses decide the same facts as the Fraction measurements
+    fw, q = case
+    cert = verify_path(build_flex_path(fw, q), fw, q)
+    assert cert.all_edges_preserved == are_equivalent(fw, q)
+    assert cert.all_pairs_constant == are_congruent(fw, q)
+
+
 @settings(deadline=None, max_examples=15)
 @given(flex_cases())
 def test_samples_match_fraction_reference(case):
@@ -249,7 +294,7 @@ def test_samples_match_fraction_reference(case):
     path = build_flex_path(fw, q)
     for row in sample_path(path, samples=2, window=1):
         v, c, sn = row["vertex"], math.cos(math.pi * row["t"]), math.sin(math.pi * row["t"])
-        lat = path.lattice.image(row["shift"])
+        lat = lattice_image(path.lattice, row["shift"])
         a, b = path.midpoint[v], path.half_difference[v]
         first = [float(a[i] + lat[i]) + c * float(b[i]) for i in range(path.lattice.d)]
         assert row["coords"] == first + [sn * float(x) for x in b]
