@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .gain_graph import BAR_JOINT, BODY_BAR, GainGraph
-from .linalg import MOD_P, integer_rank, mod_rank
+from .linalg import MOD_P, integer_rank, mod_rank, sparse_mod_rank
 from .record import Record
 
 Point = tuple[Fraction, ...]
@@ -114,22 +114,59 @@ def _lattice_mod_p(lattice: Lattice) -> list[list[int]]:
     return cols
 
 
-def _sampled_rank(graph, d, lattice, seed, ncols, rows_of) -> int:
-    """The one sample of the generic ranks (`generic_rank` and
-    `body_bar.body_bar_rank`).
+def _sample(graph: GainGraph, d: int, lattice: Lattice | None, seed: int):
+    """The generator and lattice columns mod p of one generic sample.
 
-    It seeds `random.Random(seed * 1_000_003)`, takes the lattice columns
-    mod p (drawn from that generator when no `lattice` is given) and the
-    rows mod p that `rows_of(rng, cols)` builds from them, with entries in
-    [0, p), and returns their `mod_rank`.  The callers have checked the gain
-    bound (`_check_args`).
+    It seeds `random.Random(seed * 1_000_003)` and takes the lattice columns
+    mod p, drawn from that generator when no `lattice` is given; the caller
+    goes on to draw its points from the same generator.
     """
     rng = random.Random(seed * 1_000_003)
     if lattice is not None:
         cols = _lattice_mod_p(lattice)
     else:
         cols = [[rng.randrange(MOD_P) for _ in range(d)] for _ in range(graph.k)]
+    return rng, cols
+
+
+def _sampled_rank(graph, d, lattice, seed, ncols, rows_of) -> int:
+    """The one sample of `body_bar.body_bar_rank`: the dense rows mod p that
+    `rows_of(rng, cols)` builds at `_sample`, with entries in [0, p), and
+    their `mod_rank`.  The caller has checked the gain bound (`_check_args`).
+    """
+    rng, cols = _sample(graph, d, lattice, seed)
     return mod_rank(rows_of(rng, cols), ncols)
+
+
+def _rigidity_rows(graph: GainGraph, d: int, lattice: Lattice | None, seed: int) -> list[dict[int, int]]:
+    """The rigidity matrix mod p at the sample of `seed`, one sparse row
+    {column: value} per edge in `graph.edges` order.
+
+    After the lattice columns (`_sample`), each vertex in `graph.vertices`
+    order draws its d coordinates from GF(p).  The row of an edge u -> v with
+    gain gamma is x = p(u) - p(v) - L(gamma) on u's columns and -x on v's.
+    The caller has checked the arguments (`_check_args`).
+    """
+    p = MOD_P
+    rng, cols = _sample(graph, d, lattice, seed)
+    point = {v: [rng.randrange(p) for _ in range(d)] for v in graph.vertices}
+    col_of = {v: i * d for i, v in enumerate(graph.vertices)}
+    shift_of: dict[tuple[int, ...], list[int]] = {}  # L(gamma) mod p, once per gain
+    rows = []
+    for e in graph.edges:
+        shift = shift_of.get(e.gain)
+        if shift is None:
+            shift = shift_of[e.gain] = [sum(g * col[i] for g, col in zip(e.gain, cols)) for i in range(d)]
+        row = {}
+        a, b = point[e.tail], point[e.head]
+        ct, ch = col_of[e.tail], col_of[e.head]
+        for i in range(d):
+            x = (a[i] - b[i] - shift[i]) % p
+            if x:
+                row[ct + i] = x
+                row[ch + i] = p - x
+        rows.append(row)
+    return rows
 
 
 def generic_rank(graph: GainGraph, d: int, lattice: Lattice | None = None, *, seed: int = 0) -> int:
@@ -137,35 +174,16 @@ def generic_rank(graph: GainGraph, d: int, lattice: Lattice | None = None, *, se
 
     One sample draws the placement, and the lattice columns when no
     `lattice` is given, uniformly from GF(p) with p = 2^61 - 1, and takes the
-    rank of the rigidity matrix mod p (`linalg.mod_rank`).  A rank mod p is
-    at most the rank over Q at the same point, which is at most the generic
-    rank, so the result never over-reports; by Schwartz-Zippel it falls
-    short with probability at most rank/p.  A rational `lattice` is reduced
-    mod p once; a denominator divisible by p raises ValueError.  So does a
-    gain entry of absolute value 2^60 or more: below that, distinct gains
-    stay distinct mod p.
+    rank of the rigidity matrix mod p (`_rigidity_rows`,
+    `linalg.sparse_mod_rank`).  A rank mod p is at most the rank over Q at
+    the same point, which is at most the generic rank, so the result never
+    over-reports; by Schwartz-Zippel it falls short with probability at most
+    rank/p.  A rational `lattice` is reduced mod p once; a denominator
+    divisible by p raises ValueError.  So does a gain entry of absolute value
+    2^60 or more: below that, distinct gains stay distinct mod p.
     """
     _check_args(graph, BAR_JOINT, d, lattice, sampled=True)
-    p = MOD_P
-    verts = graph.vertices
-    col_of = {v: i * d for i, v in enumerate(verts)}
-    ncols = d * len(verts)
-
-    def rows_of(rng: random.Random, cols: list[list[int]]) -> list[list[int]]:
-        point = {v: [rng.randrange(p) for _ in range(d)] for v in verts}
-        rows = []
-        for e in graph.edges:
-            row = [0] * ncols
-            a, b = point[e.tail], point[e.head]
-            ct, ch = col_of[e.tail], col_of[e.head]
-            for i in range(d):
-                x = (a[i] - b[i] - sum(g * col[i] for g, col in zip(e.gain, cols))) % p
-                row[ct + i] = x
-                row[ch + i] = p - x if x else 0
-            rows.append(row)
-        return rows
-
-    return _sampled_rank(graph, d, lattice, seed, ncols, rows_of)
+    return sparse_mod_rank(_rigidity_rows(graph, d, lattice, seed))[0]
 
 
 def max_generic_rank(n_vertices: int, d: int, k: int) -> int:

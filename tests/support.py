@@ -2,8 +2,9 @@
 paths are checked against: the exact Fraction rigidity matrix of a seeded
 framework, with its pinned form, the Fraction monotonicity witness of a
 flex path, the Fraction edge measurements with the equivalence and
-congruence tests they decide, and the enumeration of the body-bar count
-matroid."""
+congruence tests they decide, the vertex-deletion loop of the global
+cascade, one fresh graph and one sample per deletion, and the enumeration
+of the body-bar count matroid."""
 
 import random
 from fractions import Fraction
@@ -27,7 +28,13 @@ from perigid.gain_graph import BAR_JOINT, BODY_BAR, GainEdge, GainGraph, GainVec
 from perigid.linalg import integer_rank
 from perigid.motion import FlexPath, PairWitness
 from perigid.record import Record
-from perigid.rigidity import is_rigid
+from perigid.rigidity import (
+    GLOBALLY_RIGID,
+    NOT_GLOBALLY_RIGID,
+    UNKNOWN,
+    GlobalVerdict,
+    is_rigid,
+)
 
 SAMPLE_MAX = 2**30  # placement/lattice coordinates drawn from [1, SAMPLE_MAX]
 
@@ -360,6 +367,45 @@ def bareiss_generic_rank(graph: GainGraph, d: int, lattice=None, seed: int = 0) 
     Bareiss elimination) at one sampled point, the `random_generic_framework`
     of seed `seed * 1_000_003`."""
     return rank(rigidity_matrix(random_generic_framework(graph, d, lattice, seed * 1_000_003)))
+
+
+def deletion_loop_redundancy(graph: GainGraph, d: int, lattice=None, seed: int = 0):
+    """Reference for `is_vertex_redundantly_rigid`: each vertex deleted from
+    a fresh graph and the rest decided by `is_rigid` at its own sample, seed
+    `_sub_seed(seed, i)`."""
+    _check_args(graph, BAR_JOINT, d, lattice, sampled=True)
+    details = []
+    for i, v in enumerate(graph.vertices):
+        reduced = graph.delete_vertex(v)
+        if not reduced.vertices:
+            details.append({"vertex": v, "rigid": True, "note": "empty graph, vacuously rigid"})
+            continue
+        verdict = is_rigid(reduced, d, lattice, seed=_sub_seed(seed, i))
+        details.append({"vertex": v, "rigid": verdict.rigid, "verdict": verdict.to_json()})
+    return all(x["rigid"] for x in details), details
+
+
+def deletion_loop_global(graph: GainGraph, d: int, lattice=None, seed: int = 0) -> GlobalVerdict:
+    """Reference for `decide_global_rigidity`: the same cascade on the base
+    rank of `is_rigid` and the deletions of `deletion_loop_redundancy`."""
+    base = is_rigid(graph, d, lattice, seed=seed)
+
+    def verdict(status: str, reason: str, **detail) -> GlobalVerdict:
+        return GlobalVerdict(status, reason, {**detail, "rigidity": base.to_json()}, seed)
+
+    k = graph.k
+    n = len(graph.vertices)
+    if not base.rigid:
+        return verdict(NOT_GLOBALLY_RIGID, "not-rigid")
+    g_rank = gain_rank(graph)
+    if n >= 2 and g_rank < k:
+        return verdict(NOT_GLOBALLY_RIGID, "gain-rank-below-k", gain_rank=g_rank, k=k)
+    if n <= d - k + 1:
+        return verdict(GLOBALLY_RIGID, "small-graph-corollary", vertices=n, bound=d - k + 1)
+    vrr, details = deletion_loop_redundancy(graph, d, lattice, seed=seed)
+    if vrr:
+        return verdict(GLOBALLY_RIGID, "thm-2-rigid-and-rank", gain_rank=g_rank, vertex_deletions=details)
+    return verdict(UNKNOWN, "inconclusive", gain_rank=g_rank, vertex_deletions=details)
 
 
 def random_rational_lattice(rng: random.Random, d: int, k: int) -> Lattice:

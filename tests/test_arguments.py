@@ -6,6 +6,7 @@ import inspect
 
 import pytest
 
+from perigid import framework, rigidity
 from perigid.body_bar import (
     body_bar_rank,
     build_body_bar_gain_graph,
@@ -16,7 +17,7 @@ from perigid.body_bar import (
 from perigid.framework import generic_rank, identity_lattice
 from perigid.gain_graph import BAR_JOINT, BODY_BAR, gain_graph
 from perigid.rigidity import decide_global_rigidity, is_rigid, is_vertex_redundantly_rigid
-from support import random_generic_framework
+from support import complete_graph, random_generic_framework
 
 GRAPHS = {
     BAR_JOINT: lambda k: gain_graph(k, ["a"], []),
@@ -87,3 +88,21 @@ def test_seed_is_keyword_only(decision, mode):
     with pytest.raises(TypeError):
         decision(graph, 2, None, 3)
     decision(graph, 2, None, seed=3)
+
+
+def test_global_cascade_checks_once(monkeypatch):
+    # the base rank and all 14 vertex deletions come from one elimination,
+    # which takes no check of its own
+    calls = []
+    check = framework._check_args
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    for module in (framework, rigidity):
+        monkeypatch.setattr(module, "_check_args", counted)
+    verdict = decide_global_rigidity(complete_graph(14), 2)
+    assert verdict.reason == "thm-2-rigid-and-rank"
+    assert len(verdict.detail["vertex_deletions"]) == 14
+    assert len(calls) == 1

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sympy import GF, ZZ
 from sympy.polys.matrices import DomainMatrix
 
-from perigid.linalg import MOD_P, integer_rank, mod_rank
+from perigid.linalg import MOD_P, integer_rank, mod_rank, sparse_mod_rank
 from support import RationalMatrix, rank
 
 
@@ -93,12 +93,15 @@ def test_rank_bounded_by_shape():
 
 @st.composite
 def int_matrices(draw, entries):
-    """Up to 7x7 integer rows, with planted duplicate rows and zero columns."""
+    """Up to 7x7 integer rows, with planted duplicate rows, zero rows and
+    zero columns."""
     ncols = draw(st.integers(0, 7))
     rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=7))
     if rows:
         picks = draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))
         rows += [list(rows[i]) for i in picks]
+    for i in draw(st.lists(st.integers(0, len(rows)), max_size=2)):
+        rows.insert(i, [0] * ncols)
     if ncols:
         for j in draw(st.lists(st.integers(0, ncols - 1), max_size=2)):
             for r in rows:
@@ -115,6 +118,11 @@ def reduced(rows):
     return [[x % MOD_P for x in r] for r in rows]
 
 
+def sparse(rows):
+    """Dict rows; even columns keep their zeros, which the kernel drops."""
+    return [{j: x for j, x in enumerate(r) if x or j % 2 == 0} for r in rows]
+
+
 # |entries| <= 50 on at most 7 columns: by Hadamard's bound every minor is
 # below 132^7 < p, so no nonzero minor vanishes mod p and the ranks agree.
 @settings(deadline=None)
@@ -125,23 +133,24 @@ def test_mod_rank_matches_rank_over_q(case):
     assert integer_rank(rows, ncols) == expected
     assert mod_rank(reduced(rows), ncols) == expected
     assert mod_rank([list(r) for r in rows], ncols) == expected  # negative entries as given
+    assert sparse_mod_rank(sparse(rows)) == (expected, None)
+
+
+GF_P_ENTRIES = st.one_of(
+    st.integers(-50, 50),
+    st.integers(-3, 3).map(lambda c: c * MOD_P),
+    st.integers(-50, 50).map(lambda x: x + MOD_P),
+    st.integers(0, MOD_P - 1),
+)
 
 
 @settings(deadline=None)
-@given(
-    int_matrices(
-        st.one_of(
-            st.integers(-50, 50),
-            st.integers(-3, 3).map(lambda c: c * MOD_P),
-            st.integers(-50, 50).map(lambda x: x + MOD_P),
-            st.integers(0, MOD_P - 1),
-        )
-    )
-)
+@given(int_matrices(GF_P_ENTRIES))
 def test_mod_rank_is_rank_over_gf_p(case):
     rows, ncols = case
     got = mod_rank(reduced(rows), ncols)
     assert got == sympy_rank_mod_p(rows, ncols)
+    assert sparse_mod_rank(sparse(rows))[0] == got
     assert got <= integer_rank(rows, ncols)
 
 
@@ -149,3 +158,30 @@ def test_mod_rank_drops_where_a_minor_is_divisible_by_p():
     rows = [[1, 2], [2, 4 + MOD_P]]  # determinant p
     assert integer_rank(rows) == 2
     assert mod_rank(reduced(rows), 2) == 1
+    assert sparse_mod_rank(sparse(rows))[0] == 1
+
+
+@settings(deadline=None, max_examples=60)
+@given(int_matrices(GF_P_ENTRIES))
+def test_sparse_stresses_are_a_basis_of_the_left_kernel(case):
+    rows, ncols = case
+    r, stresses = sparse_mod_rank(sparse(rows), stresses=True)
+    assert r == sympy_rank_mod_p(rows, ncols)
+    assert len(stresses) == len(rows) - r
+    for y in stresses:
+        assert y and all(0 < x < MOD_P for x in y.values())
+        assert all(sum(x * rows[i][j] for i, x in y.items()) % MOD_P == 0 for j in range(ncols))
+    independent = mod_rank([[y.get(i, 0) for i in range(len(rows))] for y in stresses], len(rows))
+    assert independent == len(stresses)
+
+
+@settings(deadline=None, max_examples=60)
+@given(int_matrices(GF_P_ENTRIES), st.data())
+def test_deleting_rows_reads_off_the_stresses(case, data):
+    # rank(R without rows S) = r - |S| + rank(K restricted to S)
+    rows, ncols = case
+    deleted = sorted(data.draw(st.sets(st.integers(0, len(rows) - 1))) if rows else [])
+    r, stresses = sparse_mod_rank(sparse(rows), stresses=True)
+    after = r - len(deleted) + mod_rank([[y.get(i, 0) for i in deleted] for y in stresses], len(deleted))
+    assert r - len(deleted) <= after <= r
+    assert after == sympy_rank_mod_p([row for i, row in enumerate(rows) if i not in deleted], ncols)

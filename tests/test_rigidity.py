@@ -19,9 +19,12 @@ from perigid.rigidity import (
 )
 from support import (
     complete_graph,
+    deletion_loop_global,
+    deletion_loop_redundancy,
     fig2_graph,
     four_cycle,
     random_bar_joint_graph,
+    random_rational_lattice,
     saturated_complete_graph,
     saturated_complete_rank,
     triangle,
@@ -302,3 +305,34 @@ def test_rank_bounded_and_monotone_under_edge_addition(case, data):
     except InvalidGainGraphError:
         return  # parallel to an edge of the same gain
     assert r <= generic_rank(bigger, d, seed=seed) <= r + 1
+
+
+@st.composite
+def redundancy_cases(draw):
+    """(d, graph, lattice, seed): d in 1..3, k in 0..d, 1-6 vertex orbits,
+    at most 18 edges with gains in {-2..2}^k, and no lattice, the identity
+    or a rational one."""
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(0, d))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    graph = random_bar_joint_graph(rng, k, draw(st.integers(1, 6)), draw(st.integers(0, 18)))
+    lattice = draw(
+        st.sampled_from([None, identity_lattice(d, k), random_rational_lattice(rng, d, k)])
+    )
+    return d, graph, lattice, draw(st.integers(0, 999))
+
+
+@settings(deadline=None, max_examples=100)
+@given(redundancy_cases())
+def test_deletions_match_the_deletion_loop(case):
+    # one elimination against a fresh graph and sample per deletion: the
+    # same (rigid, achieved_rank, target_rank, method, seed) everywhere
+    d, g, lattice, seed = case
+    vrr, details = is_vertex_redundantly_rigid(g, d, lattice, seed=seed)
+    assert (vrr, details) == deletion_loop_redundancy(g, d, lattice, seed)
+    r = generic_rank(g, d, lattice, seed=seed)
+    for x in details:
+        if "verdict" in x:
+            degree = sum(x["vertex"] in (e.tail, e.head) for e in g.edges)
+            assert r - degree <= x["verdict"]["achieved_rank"] <= r
+    assert decide_global_rigidity(g, d, lattice, seed=seed) == deletion_loop_global(g, d, lattice, seed)
