@@ -169,21 +169,73 @@ def _rigidity_rows(graph: GainGraph, d: int, lattice: Lattice | None, seed: int)
     return rows
 
 
+def _rigidity_rank(
+    graph: GainGraph, d: int, lattice: Lattice | None, seed: int, *, stresses: bool = False
+) -> tuple[int, list[dict[int, int]] | None]:
+    """Rank mod p of the rigidity matrix at the sample of `seed`
+    (`_rigidity_rows`), and on request a basis of its self-stresses as
+    {edge index: coefficient}; stresses None when not asked for.
+
+    Only v's edges have entries in v's d columns.  So if the rows of v's
+    edges, restricted to those columns, have full row rank (a small dense
+    `mod_rank`), they are independent of all other rows and no self-stress
+    is nonzero on them: they add their number to the rank and are peeled
+    off.  This is a Henneberg 0-extension taken back.  Every vertex is
+    tried, and a peel tries its neighbours again; peeling only removes
+    rows, so the core left over does not depend on the order.
+    `linalg.sparse_mod_rank` ranks the core alone.  The rank and the span
+    of the stresses are those of the whole matrix.  The caller has checked
+    the arguments (`_check_args`).
+    """
+    rows = _rigidity_rows(graph, d, lattice, seed)
+    edges = graph.edges
+    live: dict[str, set[int]] = {v: set() for v in graph.vertices}  # the rows not yet peeled
+    for i, e in enumerate(edges):
+        live[e.tail].add(i)
+        live[e.head].add(i)
+    col_of = {v: i * d for i, v in enumerate(graph.vertices)}
+    gone: set[int] = set()
+    todo = list(graph.vertices)
+    while todo:
+        v = todo.pop()
+        mine = live[v]
+        if not 0 < len(mine) <= d:
+            continue
+        c = col_of[v]
+        if mod_rank([[rows[i].get(c + j, 0) for j in range(d)] for i in mine], d) < len(mine):
+            continue
+        gone |= mine
+        live[v] = set()
+        for i in mine:
+            e = edges[i]
+            w = e.head if e.tail == v else e.tail
+            live[w].discard(i)
+            todo.append(w)
+    if not gone:  # the core is the whole matrix: no stress to relabel
+        return sparse_mod_rank(rows, stresses=stresses)
+    core = [i for i in range(len(rows)) if i not in gone]
+    rank, kernel = sparse_mod_rank([rows[i] for i in core], stresses=stresses)
+    if kernel is not None:
+        kernel = [{core[j]: x for j, x in y.items()} for y in kernel]
+    return len(gone) + rank, kernel
+
+
 def generic_rank(graph: GainGraph, d: int, lattice: Lattice | None = None, *, seed: int = 0) -> int:
     """Rank of the rigidity matrix at a generic placement.
 
     One sample draws the placement, and the lattice columns when no
     `lattice` is given, uniformly from GF(p) with p = 2^61 - 1, and takes the
-    rank of the rigidity matrix mod p (`_rigidity_rows`,
-    `linalg.sparse_mod_rank`).  A rank mod p is at most the rank over Q at
-    the same point, which is at most the generic rank, so the result never
-    over-reports; by Schwartz-Zippel it falls short with probability at most
-    rank/p.  A rational `lattice` is reduced mod p once; a denominator
-    divisible by p raises ValueError.  So does a gain entry of absolute value
-    2^60 or more: below that, distinct gains stay distinct mod p.
+    rank of the rigidity matrix mod p (`_rigidity_rank`: exact peeling of
+    vertices, then `linalg.sparse_mod_rank` on the core left).  A rank mod p
+    is at most the rank over Q at the same point, which is at most the
+    generic rank, so the result never over-reports; by Schwartz-Zippel it
+    falls short with probability at most rank/p.  A rational `lattice` is
+    reduced mod p once; a denominator divisible by p raises ValueError.  So
+    does a gain entry of absolute value 2^60 or more: below that, distinct
+    gains stay distinct mod p.
     """
     _check_args(graph, BAR_JOINT, d, lattice, sampled=True)
-    return sparse_mod_rank(_rigidity_rows(graph, d, lattice, seed))[0]
+    return _rigidity_rank(graph, d, lattice, seed)[0]
 
 
 def max_generic_rank(n_vertices: int, d: int, k: int) -> int:

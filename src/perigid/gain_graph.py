@@ -80,16 +80,6 @@ class GainGraph(Record):
                 return e
         raise KeyError(f"unknown edge {edge_id!r}")
 
-    def delete_vertex(self, v: str) -> "GainGraph":
-        if v not in self.vertices:
-            raise KeyError(f"unknown vertex {v!r}")
-        return GainGraph(
-            self.k,
-            tuple([w for w in self.vertices if w != v]),
-            tuple([e for e in self.edges if e.tail != v and e.head != v]),
-            self.mode,
-        )
-
     def delete_edge(self, edge_id: str) -> "GainGraph":
         self.edge(edge_id)
         return GainGraph(

@@ -9,11 +9,12 @@ over-reports.  No verdict ever depends on floating point.
 There are two modular routines.  `sparse_mod_rank` reduces dict rows
 {column: value}.  A bar-joint row has 2d nonzeros out of d|V| columns, so
 the bar-joint generic rank and the self-stresses of its vertex deletions
-(`framework.generic_rank`, `rigidity`) come from it.  `mod_rank` reduces
-dense list rows.  It stays for the body-bar screw matrix, whose rows on 2-4
-bodies are nearly dense: as dict rows, a round of the bodybar-mix benchmark
-at seed 1 took about 45 ms against 30 ms dense (2-vCPU Xeon, Python 3.11).
-It also takes the small restricted-kernel ranks of the vertex deletions.
+come from it, on the rows that `framework._rigidity_rank` leaves after
+peeling.  `mod_rank` reduces dense list rows.  It stays for the body-bar
+screw matrix, whose rows on 2-4 bodies are nearly dense: as dict rows, a
+round of the bodybar-mix benchmark at seed 1 took about 45 ms against
+30 ms dense (2-vCPU Xeon, Python 3.11).  It also ranks the small blocks
+that decide a peel and the restricted kernels of the vertex deletions.
 """
 
 from __future__ import annotations

@@ -9,9 +9,9 @@ the standard count.
 
 from __future__ import annotations
 
-from .framework import Lattice, _check_args, _rigidity_rows, _sub_seed, generic_rank, max_generic_rank
+from .framework import Lattice, _check_args, _rigidity_rank, _sub_seed, generic_rank, max_generic_rank
 from .gain_graph import BAR_JOINT, GainGraph, gain_rank
-from .linalg import mod_rank, sparse_mod_rank
+from .linalg import mod_rank
 from .record import Record
 
 STANDARD_COUNT = "standard-count"
@@ -85,7 +85,7 @@ def is_vertex_redundantly_rigid(
     no longer drawn.
     """
     _check_args(graph, BAR_JOINT, d, lattice, sampled=True)
-    rank, stresses = sparse_mod_rank(_rigidity_rows(graph, d, lattice, seed), stresses=True)
+    rank, stresses = _rigidity_rank(graph, d, lattice, seed, stresses=True)
     return _vertex_deletions(graph, d, rank, stresses, seed)
 
 
@@ -104,7 +104,7 @@ def decide_global_rigidity(
     """
     k = _check_args(graph, BAR_JOINT, d, lattice, sampled=True)
     n = len(graph.vertices)
-    rank, stresses = sparse_mod_rank(_rigidity_rows(graph, d, lattice, seed), stresses=True)
+    rank, stresses = _rigidity_rank(graph, d, lattice, seed, stresses=True)
     base = _rigidity_verdict(n, d, k, rank, seed)
 
     def verdict(status: str, reason: str, **detail) -> GlobalVerdict:

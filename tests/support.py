@@ -311,6 +311,77 @@ def random_bar_joint_graph(rng: random.Random, k: int, n: int, max_edges: int) -
     return gain_graph(k, verts, edges)
 
 
+def delete_vertex(graph: GainGraph, v: str) -> GainGraph:
+    """`graph` without the vertex v and its edges."""
+    return GainGraph(
+        graph.k,
+        tuple(w for w in graph.vertices if w != v),
+        tuple(e for e in graph.edges if v not in (e.tail, e.head)),
+        graph.mode,
+    )
+
+
+def zero_extend(rng: random.Random, graph: GainGraph, d: int, count: int) -> GainGraph:
+    """`graph`, which has a vertex, with `count` new vertices x0, x1, ...
+    each added by a Henneberg 0-extension as `bench/instances.py` builds
+    them: c distinct anchors with one gain each, and one more endpoint at
+    +-e_j off an anchor's gain for each of min(d - c, k) distinct units j.
+    The lifted endpoints are affinely independent, so at a generic point
+    the new rows are independent of each other and of the old ones.  With
+    at least d - k vertices in `graph` each new vertex gets d edges, and a
+    minimally rigid graph stays minimally rigid.
+    """
+    k = graph.k
+    verts, edges = list(graph.vertices), list(graph.edges)
+    for x in [f"x{i}" for i in range(count)]:
+        c = rng.randint(min(max(d - k, 1), len(verts)), min(d, len(verts)))
+        anchors = rng.sample(verts, c)
+        extras: dict[str, list[int]] = {u: [] for u in anchors}
+        for j in rng.sample(range(k), min(d - c, k)):
+            extras[rng.choice(anchors)].append(j)
+        for u in anchors:
+            base = [rng.randint(-1, 1) for _ in range(k)]
+            gains = [tuple(base)]
+            for j in extras[u]:
+                sign = rng.choice((-1, 1))
+                gains.append(tuple(b + sign * (i == j) for i, b in enumerate(base)))
+            for g in gains:
+                e = GainEdge(f"{x}:{len(edges)}", x, u, g)
+                edges.append(e if rng.random() < 0.5 else e.reversed())
+        verts.append(x)
+    return GainGraph(k, tuple(verts), tuple(edges))
+
+
+def minimally_rigid_graph(rng: random.Random, d: int, k: int, n: int) -> GainGraph:
+    """A minimally rigid graph on n vertex orbits for 1 <= d <= 3: the base
+    `bench/instances.py` starts from (K_{d+1} for k = 0, two vertices joined
+    with gains 0 and e_1 for d = 3, k = 1, one vertex for k >= d - 1), then
+    n minus its size `zero_extend` steps."""
+    if k == 0:
+        base = complete_graph(d + 1)
+    elif d == 3 and k == 1:
+        base = gain_graph(1, ["v0", "v1"], [("v0", "v1", (0,)), ("v0", "v1", (1,))])
+    else:
+        base = gain_graph(k, ["v0"], [])
+    return zero_extend(rng, base, d, n - len(base.vertices))
+
+
+def twin_graph(graph: GainGraph) -> GainGraph:
+    """Each vertex u of `graph` with a twin u' that copies its edges, gain
+    for gain, and k + 1 edges u - u' with gains 0, e_1, ..., e_k.  Built on
+    a minimally rigid graph R, every G - v holds a copy of R with v's twin
+    in v's place and the other twins attached to it rigidly, so G is
+    GloballyRigid by `thm-2-rigid-and-rank`."""
+    k = graph.k
+    twin = {v: f"{v}'" for v in graph.vertices}
+    edges = []
+    for e in graph.edges:
+        edges += [(e.tail, e.head, e.gain), (twin[e.tail], e.head, e.gain), (e.tail, twin[e.head], e.gain)]
+    for v in graph.vertices:
+        edges += [(v, twin[v], tuple(int(i == j) for i in range(k))) for j in range(-1, k)]
+    return gain_graph(k, graph.vertices + tuple(twin.values()), edges)
+
+
 def random_body_bar_multigraph(rng: random.Random, d: int, k: int) -> GainGraph:
     """Instance from the oracle-equivalence corpus: up to 3 bodies, up to 5
     bars, gains in {-2..2}^k, loops only with nonzero gain."""
@@ -376,7 +447,7 @@ def deletion_loop_redundancy(graph: GainGraph, d: int, lattice=None, seed: int =
     _check_args(graph, BAR_JOINT, d, lattice, sampled=True)
     details = []
     for i, v in enumerate(graph.vertices):
-        reduced = graph.delete_vertex(v)
+        reduced = delete_vertex(graph, v)
         if not reduced.vertices:
             details.append({"vertex": v, "rigid": True, "note": "empty graph, vacuously rigid"})
             continue

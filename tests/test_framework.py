@@ -5,16 +5,21 @@ from math import comb
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import perigid
+from perigid import framework
 from perigid.framework import (
     Framework,
     Lattice,
+    _rigidity_rank,
+    _rigidity_rows,
     generic_rank,
     identity_lattice,
 )
 from perigid.gain_graph import gain_graph
-from perigid.linalg import MOD_P
+from perigid.linalg import MOD_P, mod_rank, sparse_mod_rank
 from support import (
     PinSpec,
     are_congruent,
@@ -25,6 +30,7 @@ from support import (
     fig2_framework,
     fig2_graph,
     lattice_image,
+    minimally_rigid_graph,
     pinned_rigidity_matrix,
     random_bar_joint_graph,
     random_generic_framework,
@@ -33,6 +39,7 @@ from support import (
     rank,
     rigidity_matrix,
     triangle,
+    zero_extend,
 )
 
 
@@ -264,6 +271,65 @@ class TestGenericRank:
     def test_gain_just_below_bound_accepted(self, gain):
         g = gain_graph(1, ["a", "b"], [("a", "b", (0,)), ("a", "b", (gain,))])
         assert generic_rank(g, 2) == 2
+
+
+@st.composite
+def peel_cases(draw):
+    """(d, graph, lattice, seed): d in 1..3, k in 0..d, a `random_bar_joint_graph`
+    core on 1-6 vertex orbits with at most 18 edges, with a `zero_extend` tail
+    of 0-4 vertices, and no lattice, the identity or a rational one."""
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(0, d))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    core = random_bar_joint_graph(rng, k, draw(st.integers(1, 6)), draw(st.integers(0, 18)))
+    graph = zero_extend(rng, core, d, draw(st.integers(0, 4)))
+    lattice = draw(st.sampled_from([None, identity_lattice(d, k), random_rational_lattice(rng, d, k)]))
+    return d, graph, lattice, draw(st.integers(0, 999))
+
+
+def stress_rank(stresses, m):
+    return mod_rank([[y.get(i, 0) for i in range(m)] for y in stresses], m)
+
+
+@settings(deadline=None, max_examples=150)
+@given(peel_cases())
+def test_peeling_keeps_the_rank_and_the_stresses(case):
+    # the same matrix at the same sample: the same rank, and stresses that
+    # span the left kernel of the whole matrix
+    d, g, lattice, seed = case
+    full, whole = sparse_mod_rank(_rigidity_rows(g, d, lattice, seed), stresses=True)
+    rank, stresses = _rigidity_rank(g, d, lattice, seed, stresses=True)
+    assert rank == full == _rigidity_rank(g, d, lattice, seed)[0]
+    m = len(g.edges)
+    assert stress_rank(stresses, m) == stress_rank(whole, m) == stress_rank(stresses + whole, m) == m - full
+
+
+def test_a_vertex_with_a_deficient_block_stays_in_the_core():
+    # x's three edges to w0 have collinear gains 0, 1, 2, so on x's three
+    # columns they have rank 2: x must not peel, even once w1 has
+    g = gain_graph(
+        1,
+        ["w0", "w1", "x"],
+        [("w0", "w1", (0,)), ("w0", "w1", (1,)), ("x", "w0", (0,)), ("x", "w0", (1,)), ("x", "w0", (2,))],
+    )
+    rank, stresses = _rigidity_rank(g, 3, None, 0, stresses=True)
+    assert rank == 4
+    assert [set(y) for y in stresses] == [{2, 3, 4}]
+
+
+def test_a_minimally_rigid_graph_peels_to_an_empty_core(monkeypatch):
+    cores = []
+
+    def spy(rows, **kwargs):
+        cores.append(len(rows))
+        return sparse_mod_rank(rows, **kwargs)
+
+    monkeypatch.setattr(framework, "sparse_mod_rank", spy)
+    for d in (1, 2, 3):
+        for k in range(d + 1):
+            g = minimally_rigid_graph(random.Random(10 * d + k), d, k, 12)
+            assert generic_rank(g, d) == len(g.edges)
+    assert cores == [0] * 9
 
 
 class TestEquivalenceCongruence:

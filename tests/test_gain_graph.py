@@ -19,7 +19,7 @@ from perigid.gain_graph import (
     reverse_edge,
     switch,
 )
-from support import fig2_graph, random_bar_joint_graph
+from support import delete_vertex, fig2_graph, random_bar_joint_graph
 
 
 class TestValidate:
@@ -91,7 +91,7 @@ def test_operations_preserve_validity(g, data):
     v = data.draw(st.sampled_from(g.vertices))
     gamma = data.draw(st.lists(st.integers(-3, 3), min_size=g.k, max_size=g.k))
     switch(g, v, gamma)
-    g.delete_vertex(v)
+    delete_vertex(g, v)
     if g.edges:
         e = data.draw(st.sampled_from(g.edges))
         reverse_edge(g, e.id)

@@ -23,11 +23,13 @@ from support import (
     deletion_loop_redundancy,
     fig2_graph,
     four_cycle,
+    minimally_rigid_graph,
     random_bar_joint_graph,
     random_rational_lattice,
     saturated_complete_graph,
     saturated_complete_rank,
     triangle,
+    twin_graph,
 )
 
 
@@ -336,3 +338,17 @@ def test_deletions_match_the_deletion_loop(case):
             degree = sum(x["vertex"] in (e.tail, e.head) for e in g.edges)
             assert r - degree <= x["verdict"]["achieved_rank"] <= r
     assert decide_global_rigidity(g, d, lattice, seed=seed) == deletion_loop_global(g, d, lattice, seed)
+
+
+@pytest.mark.parametrize("d,k", [(d, k) for d in (1, 2, 3) for k in range(d + 1)])
+def test_twin_graphs_are_globally_rigid(d, k):
+    # GloballyRigid by construction (`twin_graph`) up to |V| = 20.  Every
+    # vertex has more than d edges, so none peels and every deletion is
+    # read off the stresses
+    rng = random.Random(10 * d + k)
+    for n in (d + 2, 10):
+        g = twin_graph(minimally_rigid_graph(rng, d, k, n))
+        assert all(sum(v in (e.tail, e.head) for e in g.edges) > d for v in g.vertices)
+        verdict = decide_global_rigidity(g, d, seed=n)
+        assert (verdict.status, verdict.reason) == (GLOBALLY_RIGID, "thm-2-rigid-and-rank")
+        assert verdict == deletion_loop_global(g, d, seed=n)
