@@ -1,4 +1,4 @@
-"""CLI stdout pinned byte for byte on twelve fixture documents.
+"""CLI stdout pinned byte for byte on fourteen fixture documents.
 
 `golden_cli_stdout.json` maps each invocation below to its stdout.  A change
 that keeps the mathematics keeps this test passing unchanged; after an
@@ -151,6 +151,39 @@ DOCUMENTS = {
         "edges": [{"tail": "b0", "head": "b0", "gain": [g]} for g in (1, 2, 3)]
         + [{"tail": "b0", "head": "b1", "gain": [g]} for g in (0, 1, 2, 0, 1, 2, 0)],
     },
+    # d=2, k=1: five bars b0-b1 and five b2-b3, two components short of the
+    # target; the violating subset, the five b0-b1 bars, has excess 1 only
+    # because its gain rank is 1
+    "BODYBAR_TWO_PAIRS": {
+        "dim": 2,
+        "periodicity": 1,
+        "mode": "body-bar",
+        "vertices": ["b0", "b1", "b2", "b3"],
+        "edges": [
+            {"tail": u, "head": v, "gain": [g]}
+            for u, v, g in (
+                ("b0", "b1", 0), ("b1", "b0", 0), ("b1", "b0", 0), ("b3", "b2", 1), ("b3", "b2", 0),
+                ("b3", "b2", 1), ("b0", "b1", 1), ("b1", "b0", 1), ("b2", "b3", 0), ("b3", "b2", 0),
+            )
+        ],
+    },
+    # d=3, k=2: three loops on b0, eight bars b0-b1 and one b1-b2; the
+    # violating subset and its tie-break depend on the gain ranks of subsets
+    # mixing loops and parallel bars
+    "BODYBAR_LOOPS_D3K2": {
+        "dim": 3,
+        "periodicity": 2,
+        "mode": "body-bar",
+        "vertices": ["b0", "b1", "b2"],
+        "edges": [
+            {"tail": u, "head": v, "gain": list(g)}
+            for u, v, g in (
+                ("b0", "b0", (0, 1)), ("b0", "b0", (2, 0)), ("b1", "b0", (1, 0)), ("b1", "b0", (1, 1)),
+                ("b0", "b1", (0, 0)), ("b0", "b1", (-1, 0)), ("b0", "b0", (0, 1)), ("b2", "b1", (0, 0)),
+                ("b0", "b1", (0, 0)), ("b1", "b0", (0, 0)), ("b1", "b0", (0, 0)), ("b1", "b0", (0, 0)),
+            )
+        ],
+    },
 }
 
 INVOCATIONS = [
@@ -175,6 +208,8 @@ INVOCATIONS = [
     ("bodybar", "counts", "BODYBAR_FLEX"),
     ("bodybar", "counts", "BODYBAR_CHAIN"),
     ("bodybar", "counts", "BODYBAR_LOOPS_D3"),
+    ("bodybar", "counts", "BODYBAR_TWO_PAIRS"),
+    ("bodybar", "counts", "BODYBAR_LOOPS_D3K2"),
 ]
 
 
