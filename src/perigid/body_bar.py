@@ -30,7 +30,7 @@ from itertools import combinations
 from math import comb
 
 from .framework import Lattice, _check_args, _sampled_rank, _sub_seed
-from .gain_graph import BAR_JOINT, BODY_BAR, GainEdge, GainGraph, gain_rank
+from .gain_graph import BAR_JOINT, BODY_BAR, GainEdge, GainGraph, _gain_rank, gain_rank
 from .linalg import MOD_P
 from .record import Record
 from .rigidity import (
@@ -195,7 +195,7 @@ def count_rank(multigraph: GainGraph, d: int, edge_cap: int = DEFAULT_EDGE_CAP) 
         raise ValueError(f"{m} edges exceed the enumeration cap of {edge_cap}")
     target = body_bar_target(len(multigraph.vertices), d, k)
     vidx = {v: i for i, v in enumerate(multigraph.vertices)}
-    ends = [(1 << vidx[e.tail]) | (1 << vidx[e.head]) for e in edges]
+    bits = [(1 << i, e, (1 << vidx[e.tail]) | (1 << vidx[e.head])) for i, e in enumerate(edges)]
     s = comb(d + 1, 2)
     memo: dict[int, int] = {}
 
@@ -206,10 +206,12 @@ def count_rank(multigraph: GainGraph, d: int, edge_cap: int = DEFAULT_EDGE_CAP) 
         x = memo.get(mask)
         if x is None:
             vmask = 0
-            for i, vm in enumerate(ends):
-                if mask >> i & 1:
+            bars = []
+            for one, e, vm in bits:
+                if mask & one:
                     vmask |= vm
-            kf = gain_rank(multigraph, ids(mask))
+                    bars.append(e)
+            kf = _gain_rank(bars, k)
             x = memo[mask] = mask.bit_count() - (s * vmask.bit_count() - d - comb(d - kf, 2))
         return x
 

@@ -6,11 +6,13 @@ every incoming one.  A graph is either in "bar-joint" mode (no loops, no
 parallel edges with equal gain) or "body-bar" mode (loops with nonzero gain
 and equal-gain parallels allowed).  The constructor enforces these rules, so
 every `GainGraph` is valid, and switching, reversal and deletion keep it so.
+`gain_rank` is exact: Bareiss on the cycle gains of spanning-forest potentials.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from operator import add, neg, sub
 
 from .linalg import integer_rank
 from .record import Record
@@ -28,15 +30,15 @@ class InvalidGainGraphError(ValueError):
 
 
 def _vec_add(a: GainVector, b: GainVector) -> GainVector:
-    return tuple([x + y for x, y in zip(a, b)])
+    return tuple(map(add, a, b))
 
 
 def _vec_sub(a: GainVector, b: GainVector) -> GainVector:
-    return tuple([x - y for x, y in zip(a, b)])
+    return tuple(map(sub, a, b))
 
 
 def _vec_neg(a: GainVector) -> GainVector:
-    return tuple([-x for x in a])
+    return tuple(map(neg, a))
 
 
 class GainEdge(Record):
@@ -155,61 +157,55 @@ def reverse_edge(graph: GainGraph, edge_id: str) -> GainGraph:
     )
 
 
-def cycle_space_generators(graph: GainGraph, edge_ids=None) -> list[GainVector]:
-    """Gains of a generating set of closed walks of the subgraph on `edge_ids`.
+def _gain_rank(edges, k: int) -> int:
+    """`gain_rank` of the subgraph on `edges`, a sequence of GainEdges.
 
-    Per connected component: spanning-tree potentials, one generator per
-    non-tree edge; loops are their own generators.
-    """
-    if edge_ids is None:
-        subset = list(graph.edges)
-    else:
-        wanted = set(edge_ids)
-        subset = [e for e in graph.edges if e.id in wanted]
-        missing = wanted - {e.id for e in subset}
-        if missing:
-            raise KeyError(f"unknown edges {sorted(missing)!r}")
-    zero = (0,) * graph.k
-    adj: dict[str, list[tuple[str, GainVector]]] = {}
-    loops: list[GainEdge] = []
-    nonloop: list[GainEdge] = []
-    for e in subset:
-        if e.is_loop():
-            loops.append(e)
-        else:
-            nonloop.append(e)
-            adj.setdefault(e.tail, [])
-            adj.setdefault(e.head, [])
-    for e in nonloop:
-        adj[e.tail].append((e.head, e.gain))
-        adj[e.head].append((e.tail, _vec_neg(e.gain)))
-    generators = [e.gain for e in loops]
-    potential: dict[str, GainVector] = {}
-    for root in sorted(adj):
-        if root in potential:
+    Each vertex carries a potential and each component a member list.  An
+    edge inside a component adds its cycle gain pot(t) + g - pot(h) (a loop
+    its own gain); an edge joining two components shifts the smaller one's
+    potentials so that it becomes a tree edge.  A shift is a switching, so
+    the gains collected generate the group of closed-walk gains."""
+    if not k:
+        return 0
+    pot: dict[str, GainVector] = {}
+    members: dict[str, list[str]] = {}
+    gains = []
+    for e in edges:
+        t, h = e.tail, e.head
+        if t not in pot:
+            pot[t] = (0,) * k
+            members[t] = [t]
+        if h not in pot:
+            pot[h] = _vec_add(pot[t], e.gain)
+            members[h] = members[t]
+            members[h].append(h)
             continue
-        potential[root] = zero
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for w, g in adj[u]:
-                if w not in potential:
-                    potential[w] = _vec_add(potential[u], g)
-                    stack.append(w)
-    # every edge closes a walk through spanning-forest potentials; tree edges
-    # contribute the zero vector and are harmless to include
-    for e in nonloop:
-        g = _vec_sub(_vec_add(potential[e.tail], e.gain), potential[e.head])
-        if g != zero:
-            generators.append(g)
-    return generators
+        gap = _vec_sub(_vec_add(pot[t], e.gain), pot[h])
+        small, large = members[t], members[h]
+        if small is large:
+            if any(gap):
+                gains.append(gap)
+            continue
+        if len(small) > len(large):
+            small, large, gap = large, small, _vec_neg(gap)
+        for v in small:
+            pot[v] = _vec_sub(pot[v], gap)
+            members[v] = large
+        large.extend(small)
+    return integer_rank(gains, k)
 
 
 def gain_rank(graph: GainGraph, edge_ids=None) -> int:
     """Rank of the subgroup of Z^k generated by closed-walk gains of the
     subgraph spanned by `edge_ids` (all edges when omitted)."""
-    gens = cycle_space_generators(graph, edge_ids)
-    return integer_rank(gens, graph.k)
+    edges = graph.edges
+    if edge_ids is not None:
+        wanted = set(edge_ids)
+        edges = [e for e in edges if e.id in wanted]
+        missing = wanted - {e.id for e in edges}
+        if missing:
+            raise KeyError(f"unknown edges {sorted(missing)!r}")
+    return _gain_rank(edges, graph.k)
 
 
 class CoveringWindow(Record):

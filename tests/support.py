@@ -2,9 +2,10 @@
 paths are checked against: the exact Fraction rigidity matrix of a seeded
 framework, with its pinned form, the Fraction monotonicity witness of a
 flex path, the Fraction edge measurements with the equivalence and
-congruence tests they decide, the vertex-deletion loop of the global
-cascade, one fresh graph and one sample per deletion, and the enumeration
-of the body-bar count matroid."""
+congruence tests they decide, the gain rank from a depth-first spanning
+forest per subgraph, the vertex-deletion loop of the global cascade, one
+fresh graph and one sample per deletion, and the enumeration of the body-bar
+count matroid."""
 
 import random
 from fractions import Fraction
@@ -24,7 +25,17 @@ from perigid.framework import (
     generic_rank,
     identity_lattice,
 )
-from perigid.gain_graph import BAR_JOINT, BODY_BAR, GainEdge, GainGraph, GainVector, gain_graph, gain_rank
+from perigid.gain_graph import (
+    BAR_JOINT,
+    BODY_BAR,
+    GainEdge,
+    GainGraph,
+    GainVector,
+    _vec_add,
+    _vec_neg,
+    _vec_sub,
+    gain_graph,
+)
 from perigid.linalg import integer_rank
 from perigid.motion import FlexPath, PairWitness
 from perigid.record import Record
@@ -91,6 +102,62 @@ def rank(matrix: RationalMatrix) -> int:
         mult = lcm(*(x.denominator for x in row)) if row else 1
         scaled.append([x.numerator * (mult // x.denominator) for x in row])
     return integer_rank(scaled, matrix.cols)
+
+
+def cycle_space_generators(graph: GainGraph, edge_ids=None) -> list[GainVector]:
+    """Gains of a generating set of closed walks of the subgraph on `edge_ids`.
+
+    Per connected component: spanning-tree potentials, one generator per
+    non-tree edge; loops are their own generators.
+    """
+    if edge_ids is None:
+        subset = list(graph.edges)
+    else:
+        wanted = set(edge_ids)
+        subset = [e for e in graph.edges if e.id in wanted]
+        missing = wanted - {e.id for e in subset}
+        if missing:
+            raise KeyError(f"unknown edges {sorted(missing)!r}")
+    zero = (0,) * graph.k
+    adj: dict[str, list[tuple[str, GainVector]]] = {}
+    loops: list[GainEdge] = []
+    nonloop: list[GainEdge] = []
+    for e in subset:
+        if e.is_loop():
+            loops.append(e)
+        else:
+            nonloop.append(e)
+            adj.setdefault(e.tail, [])
+            adj.setdefault(e.head, [])
+    for e in nonloop:
+        adj[e.tail].append((e.head, e.gain))
+        adj[e.head].append((e.tail, _vec_neg(e.gain)))
+    generators = [e.gain for e in loops]
+    potential: dict[str, GainVector] = {}
+    for root in sorted(adj):
+        if root in potential:
+            continue
+        potential[root] = zero
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for w, g in adj[u]:
+                if w not in potential:
+                    potential[w] = _vec_add(potential[u], g)
+                    stack.append(w)
+    # every edge closes a walk through spanning-forest potentials; tree edges
+    # contribute the zero vector and are harmless to include
+    for e in nonloop:
+        g = _vec_sub(_vec_add(potential[e.tail], e.gain), potential[e.head])
+        if g != zero:
+            generators.append(g)
+    return generators
+
+
+def reference_gain_rank(graph: GainGraph, edge_ids=None) -> int:
+    """Reference for `gain_rank`: the rank of the generators that
+    `cycle_space_generators` reads off a depth-first spanning forest."""
+    return integer_rank(cycle_space_generators(graph, edge_ids), graph.k)
 
 
 def lattice_image(lattice: Lattice, gamma: GainVector) -> Point:
@@ -468,7 +535,7 @@ def deletion_loop_global(graph: GainGraph, d: int, lattice=None, seed: int = 0) 
     n = len(graph.vertices)
     if not base.rigid:
         return verdict(NOT_GLOBALLY_RIGID, "not-rigid")
-    g_rank = gain_rank(graph)
+    g_rank = reference_gain_rank(graph)
     if n >= 2 and g_rank < k:
         return verdict(NOT_GLOBALLY_RIGID, "gain-rank-below-k", gain_rank=g_rank, k=k)
     if n <= d - k + 1:
@@ -532,7 +599,7 @@ class CountMatroid:
             for i, vm in enumerate(self.vertex_masks):
                 if mask >> i & 1:
                     vmask |= vm
-            kf = gain_rank(self.graph, self._edge_ids(mask))
+            kf = reference_gain_rank(self.graph, self._edge_ids(mask))
             b = comb(self.d + 1, 2) * vmask.bit_count() - self.d - comb(self.d - kf, 2)
             self._bound[mask] = b
         return b

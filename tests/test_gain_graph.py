@@ -2,7 +2,7 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perigid.gain_graph import (
@@ -13,13 +13,18 @@ from perigid.gain_graph import (
     InvalidGainGraphError,
     COVERING_MAX_VERTICES,
     covering_window,
-    cycle_space_generators,
     gain_graph,
     gain_rank,
     reverse_edge,
     switch,
 )
-from support import delete_vertex, fig2_graph, random_bar_joint_graph
+from support import (
+    cycle_space_generators,
+    delete_vertex,
+    fig2_graph,
+    random_bar_joint_graph,
+    reference_gain_rank,
+)
 
 
 class TestValidate:
@@ -160,6 +165,18 @@ class TestGainRank:
     def test_empty_subset(self):
         assert gain_rank(fig2_graph(), []) == 0
 
+    def test_unknown_edge_id(self):
+        for k in (0, 2):
+            g = gain_graph(k, ["a", "b"], [("a", "b", (0,) * k)])
+            with pytest.raises(KeyError, match=r"unknown edges \['x', 'y'\]"):
+                gain_rank(g, ["e0", "y", "x"])
+
+    def test_merge_shifts_potentials(self):
+        # a->b and c->d form two components before b->c joins them; the
+        # last edge d->a closes the one cycle, of gain 1 + 1 + 1 - 3 = 0
+        g = gain_graph(1, "abcd", [("a", "b", (1,)), ("c", "d", (1,)), ("b", "c", (1,)), ("d", "a", (-3,))])
+        assert gain_rank(g) == reference_gain_rank(g) == 0
+
     def test_generators_match_enumerated_cycles(self):
         # triangle with gains: single independent cycle gain = sum around it
         g = gain_graph(
@@ -192,6 +209,55 @@ class TestGainRank:
         for _ in range(10):
             g = random_bar_joint_graph(rng, k=3, n=4, max_edges=5)
             assert gain_rank(g) <= min(3, len(g.edges))
+
+
+@st.composite
+def rank_graphs(draw):
+    """Valid graphs of either mode with k in 0..3 for the gain-rank property:
+    up to 7 vertices and 12 edges, so isolated vertices and several
+    components are common; in body-bar mode loops and equal-gain parallels
+    (an edge may repeat the one before it); gain entries are small or up to
+    2^70 in absolute value."""
+    k = draw(st.integers(0, 3))
+    mode = draw(st.sampled_from([BAR_JOINT, BODY_BAR]))
+    vertices = [f"v{i}" for i in range(draw(st.integers(1, 7)))]
+    entries = st.one_of(st.integers(-2, 2), st.integers(-(2**70), 2**70))
+    edges: list[GainEdge] = []
+    for i in range(draw(st.integers(0, 12))):
+        if edges and draw(st.integers(0, 3)) == 0:
+            prev = edges[-1]
+            edge = GainEdge(f"e{i}", prev.tail, prev.head, prev.gain)
+        else:
+            edge = GainEdge(
+                f"e{i}",
+                draw(st.sampled_from(vertices)),
+                draw(st.sampled_from(vertices)),
+                tuple(draw(st.lists(entries, min_size=k, max_size=k))),
+            )
+        try:
+            GainGraph(k, tuple(vertices), tuple(edges + [edge]), mode)
+        except InvalidGainGraphError:
+            continue
+        edges.append(edge)
+    return GainGraph(k, tuple(vertices), tuple(edges), mode)
+
+
+@settings(max_examples=300)
+@given(rank_graphs(), st.data())
+def test_gain_rank_matches_reference(g, data):
+    """The merged-potential kernel against the depth-first spanning forest of
+    `support.cycle_space_generators`, on all edges, none, a subset and a
+    subset with repeated ids; an unknown id raises the same KeyError."""
+    ids = [e.id for e in g.edges]
+    subset = data.draw(st.lists(st.sampled_from(ids), unique=True)) if ids else []
+    repeated = subset + data.draw(st.lists(st.sampled_from(subset), min_size=1)) if subset else []
+    for edge_ids in (None, [], subset, repeated):
+        assert gain_rank(g, edge_ids) == reference_gain_rank(g, edge_ids)
+    with pytest.raises(KeyError) as got:
+        gain_rank(g, subset + ["unknown"])
+    with pytest.raises(KeyError) as want:
+        reference_gain_rank(g, subset + ["unknown"])
+    assert got.value.args == want.value.args
 
 
 class TestCoveringWindow:
