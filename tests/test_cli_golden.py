@@ -151,9 +151,9 @@ DOCUMENTS = {
         "edges": [{"tail": "b0", "head": "b0", "gain": [g]} for g in (1, 2, 3)]
         + [{"tail": "b0", "head": "b1", "gain": [g]} for g in (0, 1, 2, 0, 1, 2, 0)],
     },
-    # d=2, k=1: five bars b0-b1 and five b2-b3, two components short of the
-    # target; the violating subset, the five b0-b1 bars, has excess 1 only
-    # because its gain rank is 1
+    # d=2, k=1: five bars b2-b3 with gain rank 1, then five b0-b1 of gain 0;
+    # both groups break the count, and the later one has the larger excess
+    # only because the earlier one's gain rank is 1
     "BODYBAR_TWO_PAIRS": {
         "dim": 2,
         "periodicity": 1,
@@ -161,15 +161,13 @@ DOCUMENTS = {
         "vertices": ["b0", "b1", "b2", "b3"],
         "edges": [
             {"tail": u, "head": v, "gain": [g]}
-            for u, v, g in (
-                ("b0", "b1", 0), ("b1", "b0", 0), ("b1", "b0", 0), ("b3", "b2", 1), ("b3", "b2", 0),
-                ("b3", "b2", 1), ("b0", "b1", 1), ("b1", "b0", 1), ("b2", "b3", 0), ("b3", "b2", 0),
-            )
-        ],
+            for u, v, g in (("b2", "b3", 0), ("b3", "b2", 1), ("b2", "b3", 0), ("b2", "b3", 1), ("b3", "b2", 0))
+        ]
+        + [{"tail": u, "head": v, "gain": [0]} for u, v in (("b0", "b1"), ("b1", "b0")) * 2 + (("b0", "b1"),)],
     },
-    # d=3, k=2: three loops on b0, eight bars b0-b1 and one b1-b2; the
-    # violating subset and its tie-break depend on the gain ranks of subsets
-    # mixing loops and parallel bars
+    # d=3, k=2: four loops on b1, one on b2, six bars b0-b1 and one b2-b1;
+    # the violating subset is the one triple of b1 loops with collinear
+    # gains: gain rank 1 gives it excess 1, gain rank 2 a triple excess 0
     "BODYBAR_LOOPS_D3K2": {
         "dim": 3,
         "periodicity": 2,
@@ -178,9 +176,9 @@ DOCUMENTS = {
         "edges": [
             {"tail": u, "head": v, "gain": list(g)}
             for u, v, g in (
-                ("b0", "b0", (0, 1)), ("b0", "b0", (2, 0)), ("b1", "b0", (1, 0)), ("b1", "b0", (1, 1)),
-                ("b0", "b1", (0, 0)), ("b0", "b1", (-1, 0)), ("b0", "b0", (0, 1)), ("b2", "b1", (0, 0)),
-                ("b0", "b1", (0, 0)), ("b1", "b0", (0, 0)), ("b1", "b0", (0, 0)), ("b1", "b0", (0, 0)),
+                ("b1", "b1", (1, 0)), ("b1", "b1", (-1, 0)), ("b0", "b1", (0, 0)), ("b2", "b1", (1, 1)),
+                ("b0", "b1", (0, 0)), ("b1", "b0", (0, 0)), ("b1", "b1", (1, 1)), ("b0", "b1", (0, 1)),
+                ("b0", "b1", (2, 0)), ("b2", "b2", (2, 0)), ("b1", "b1", (-1, 0)), ("b0", "b1", (0, 0)),
             )
         ],
     },
