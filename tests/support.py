@@ -25,17 +25,7 @@ from perigid.framework import (
     generic_rank,
     identity_lattice,
 )
-from perigid.gain_graph import (
-    BAR_JOINT,
-    BODY_BAR,
-    GainEdge,
-    GainGraph,
-    GainVector,
-    _vec_add,
-    _vec_neg,
-    _vec_sub,
-    gain_graph,
-)
+from perigid.gain_graph import BAR_JOINT, BODY_BAR, GainEdge, GainGraph, GainVector, gain_graph
 from perigid.linalg import integer_rank
 from perigid.motion import FlexPath, PairWitness
 from perigid.record import Record
@@ -102,6 +92,19 @@ def rank(matrix: RationalMatrix) -> int:
         mult = lcm(*(x.denominator for x in row)) if row else 1
         scaled.append([x.numerator * (mult // x.denominator) for x in row])
     return integer_rank(scaled, matrix.cols)
+
+
+# the reference's own gain arithmetic, independent of the library's helpers
+def _vec_add(a: GainVector, b: GainVector) -> GainVector:
+    return tuple([x + y for x, y in zip(a, b)])
+
+
+def _vec_sub(a: GainVector, b: GainVector) -> GainVector:
+    return tuple([x - y for x, y in zip(a, b)])
+
+
+def _vec_neg(a: GainVector) -> GainVector:
+    return tuple([-x for x in a])
 
 
 def cycle_space_generators(graph: GainGraph, edge_ids=None) -> list[GainVector]:
